@@ -10,19 +10,16 @@ is exact and independent of parameter values.
 """
 
 from .data import (HsiCube, LabelMap, PatchSet, SplitSpec, difference,
-                   extract_patch, extract_patches, load_cube, load_labels,
-                   normalize, patch_set, save_cube, save_labels,
-                   stratified_split, synth_dataset)
+                   extract_patches, load_cube, load_labels, normalize,
+                   patch_set, save_cube, save_labels, stratified_split,
+                   synth_dataset)
 from .errors import (ContractError, DataError, DomainError,
                      UndefinedMetricError)
-from .layers import (DenseLayer, FullKanLayer, LayerCache, SharedKanLayer,
-                     init_params, silu)
-from .metrics import (ConfusionMatrix, accumulate, kappa, overall_accuracy,
-                      report, tally)
+from .layers import DenseLayer, FullKanLayer, SharedKanLayer, init_params, silu
+from .metrics import ConfusionMatrix, kappa, overall_accuracy, report, tally
 from .model import (Model, ModelConfig, Variant, build_model,
-                    load_checkpoint, predict, save_checkpoint)
-from .spline import (SplineGrid, basis_derivatives, basis_values, make_grid,
-                     spline_eval)
+                    load_checkpoint, save_checkpoint)
+from .spline import SplineGrid, basis_derivatives, basis_values, make_grid
 from .training import (AdamState, TrainConfig, TrainHistory, adam_step,
                        gradient_check, lr_at, softmax_cross_entropy, train)
 
@@ -30,18 +27,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HsiCube", "LabelMap", "PatchSet", "SplitSpec", "difference",
-    "extract_patch", "extract_patches", "load_cube", "load_labels",
-    "normalize", "patch_set", "save_cube", "save_labels", "stratified_split",
-    "synth_dataset",
+    "extract_patches", "load_cube", "load_labels", "normalize", "patch_set",
+    "save_cube", "save_labels", "stratified_split", "synth_dataset",
     "ContractError", "DataError", "DomainError", "UndefinedMetricError",
-    "DenseLayer", "FullKanLayer", "LayerCache", "SharedKanLayer",
-    "init_params", "silu",
-    "ConfusionMatrix", "accumulate", "kappa", "overall_accuracy", "report",
-    "tally",
+    "DenseLayer", "FullKanLayer", "SharedKanLayer", "init_params", "silu",
+    "ConfusionMatrix", "kappa", "overall_accuracy", "report", "tally",
     "Model", "ModelConfig", "Variant", "build_model", "load_checkpoint",
-    "predict", "save_checkpoint",
+    "save_checkpoint",
     "SplineGrid", "basis_derivatives", "basis_values", "make_grid",
-    "spline_eval",
     "AdamState", "TrainConfig", "TrainHistory", "adam_step",
     "gradient_check", "lr_at", "softmax_cross_entropy", "train",
     "__version__",

@@ -53,7 +53,11 @@ def _parse_nodes(value) -> list[int] | None:
 
 
 def _apply_config_file(args: argparse.Namespace, defaults: dict) -> None:
-    """Fill unset options from the --config file, then from defaults."""
+    """Fill unset options from the --config file, then from defaults.
+
+    A file value goes through the type and choices of its flag, as the
+    flag's own text would.
+    """
     file_values = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -67,9 +71,27 @@ def _apply_config_file(args: argparse.Namespace, defaults: dict) -> None:
         if unknown:
             raise ContractError(
                 f"{config_path}: unknown config keys {sorted(unknown)}")
+        flags = {action.dest: action for action in args.command_parser._actions}
+        for key, value in file_values.items():
+            file_values[key] = _convert(flags[key], value, config_path)
     for key, default in defaults.items():
         if getattr(args, key, None) is None:
             setattr(args, key, file_values.get(key, default))
+
+
+def _convert(flag: argparse.Action, value, config_path):
+    if flag.type is not None:
+        try:
+            value = flag.type(str(value))
+        except ValueError as exc:
+            raise ContractError(
+                f"{config_path}: {flag.dest} must be {flag.type.__name__}, "
+                f"got {value!r}") from exc
+    if flag.choices is not None and value not in flag.choices:
+        raise ContractError(
+            f"{config_path}: {flag.dest} must be one of {list(flag.choices)}, "
+            f"got {value!r}")
+    return value
 
 
 def _model_config(args, bands: int) -> ModelConfig:
@@ -278,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--train-fraction", type=float, dest="train_fraction")
     tr.add_argument("--seed", type=int)
     tr.add_argument("--out-dir", required=True)
-    tr.set_defaults(func=cmd_train)
+    tr.set_defaults(func=cmd_train, command_parser=tr)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint and render the change map")
     ev.add_argument("checkpoint")
@@ -290,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fraction used to reconstruct the held-out split")
     ev.add_argument("--seed", type=int)
     ev.add_argument("--out-dir", required=True)
-    ev.set_defaults(func=cmd_eval)
+    ev.set_defaults(func=cmd_eval, command_parser=ev)
 
     ct = sub.add_parser("count", help="report per-layer parameter/FLOP accounting")
     ct.add_argument("--config", help="JSON file with option defaults")
@@ -299,14 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     ct.add_argument("--patch-size", type=int, dest="patch_size")
     ct.add_argument("--spatial-nodes", dest="spatial_nodes")
     ct.add_argument("--spectral-nodes", dest="spectral_nodes")
-    ct.set_defaults(func=cmd_count)
+    ct.set_defaults(func=cmd_count, command_parser=ct)
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of a tiny model")
     gc.add_argument("--config", help="JSON file with option defaults")
     gc.add_argument("--variant", choices=variants)
     gc.add_argument("--threshold", type=float)
     gc.add_argument("--seed", type=int)
-    gc.set_defaults(func=cmd_gradcheck)
+    gc.set_defaults(func=cmd_gradcheck, command_parser=gc)
 
     return parser
 

@@ -11,7 +11,8 @@ File formats (the sole ingestion path for real datasets):
 
 Patches are windows centered on the classified pixel; positions falling
 outside the raster are filled by mirroring across the image boundary
-(the edge row/column is duplicated next to itself).
+(the edge row/column is duplicated next to itself). For patches larger
+than the raster the reflection repeats.
 """
 
 from __future__ import annotations
@@ -130,48 +131,27 @@ def normalize(cube: HsiCube) -> HsiCube:
     return HsiCube(out)
 
 
-def _fold(i: int, n: int) -> int:
-    # Mirror an out-of-range index back into [0, n) across the boundary.
-    while i < 0 or i >= n:
-        if i < 0:
-            i = -1 - i
-        else:
-            i = 2 * n - 1 - i
-    return i
-
-
-def extract_patch(cube: HsiCube, row: int, col: int, p: int) -> np.ndarray:
-    """The p x p x b window centered at (row, col), mirror-padded at edges."""
-    if p < 1 or p % 2 == 0:
-        raise ContractError(f"patch size must be odd and positive, got {p}")
-    h, w = cube.height, cube.width
-    if not (0 <= row < h and 0 <= col < w):
-        raise ContractError(f"center ({row}, {col}) outside {h}x{w} raster")
-    half = p // 2
-    rows = np.array([_fold(r, h) for r in range(row - half, row + half + 1)])
-    cols = np.array([_fold(c, w) for c in range(col - half, col + half + 1)])
-    return cube.values[np.ix_(rows, cols)].copy()
-
-
 def extract_patches(cube: HsiCube, coords: np.ndarray, p: int) -> np.ndarray:
-    """Windows for many centers at once; pads the cube a single time."""
+    """The p x p x b windows centered on each ``(row, col)`` of ``coords``.
+
+    Offsets past an edge are mirrored back into the raster with the edge
+    row/column duplicated; a window larger than the raster repeats the
+    reflection with period ``2h`` down the rows and ``2w`` across.
+    """
     if p < 1 or p % 2 == 0:
         raise ContractError(f"patch size must be odd and positive, got {p}")
-    coords = np.asarray(coords)
-    half = p // 2
-    if len(coords) == 0:
-        return np.empty((0, p, p, cube.bands), dtype=cube.values.dtype)
-    if half == 0:
-        return cube.values[coords[:, 0], coords[:, 1]].reshape(
-            len(coords), 1, 1, cube.bands).copy()
-    if half <= min(cube.height, cube.width):
-        padded = np.pad(cube.values, ((half, half), (half, half), (0, 0)),
-                        mode="symmetric")
-        out = np.empty((len(coords), p, p, cube.bands), dtype=cube.values.dtype)
-        for i, (r, c) in enumerate(coords):
-            out[i] = padded[r:r + p, c:c + p]
-        return out
-    return np.stack([extract_patch(cube, r, c, p) for r, c in coords])
+    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
+    size = np.array([cube.height, cube.width])
+    outside = np.any((coords < 0) | (coords >= size), axis=1)
+    if outside.any():
+        row, col = coords[outside][0]
+        raise ContractError(f"center ({row}, {col}) outside "
+                            f"{cube.height}x{cube.width} raster")
+    idx = coords[:, :, None] + np.arange(-(p // 2), p // 2 + 1)
+    period = 2 * size[:, None]
+    idx = np.mod(idx, period)
+    idx = np.where(idx < size[:, None], idx, period - 1 - idx)
+    return cube.values[idx[:, 0, :, None], idx[:, 1, None, :]]
 
 
 def patch_set(cube: HsiCube, label_map: LabelMap, coords: np.ndarray,

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import UNKNOWN, LabelMap
+from .data import UNKNOWN
 from .errors import ContractError, UndefinedMetricError
 
 
@@ -26,10 +26,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        # Tallies from disjoint pixel shards merge by elementwise sum.
-        return ConfusionMatrix(self.counts + other.counts)
-
 
 def tally(pred: np.ndarray, truth: np.ndarray) -> ConfusionMatrix:
     """Count (truth, prediction) pairs, skipping unknown truth pixels."""
@@ -44,16 +40,6 @@ def tally(pred: np.ndarray, truth: np.ndarray) -> ConfusionMatrix:
         raise ContractError("predictions must be 0 or 1 on evaluated pixels")
     counts = np.bincount(t * 2 + q, minlength=4).reshape(2, 2)
     return ConfusionMatrix(counts)
-
-
-def accumulate(pred: np.ndarray, truth: LabelMap) -> ConfusionMatrix:
-    """Tally a full prediction grid against a label map."""
-    pred = np.asarray(pred)
-    if pred.shape != truth.labels.shape:
-        raise ContractError(
-            f"prediction grid {pred.shape} does not match labels "
-            f"{truth.labels.shape}")
-    return tally(pred, truth.labels)
 
 
 def overall_accuracy(cm: ConfusionMatrix) -> float:

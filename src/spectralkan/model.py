@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, MalformedHeaderError, TruncatedPayloadError
+from .errors import (ContractError, DataError, MalformedHeaderError,
+                     TruncatedPayloadError)
 from .layers import init_params
 from .spline import SplineGrid, make_grid
 
@@ -217,16 +218,6 @@ class Model:
         return self.config.bands * spatial + spectral
 
 
-def predict(model: Model, patches, batch_size: int = 512) -> np.ndarray:
-    """Argmax class labels for a set of patches, evaluated in batches."""
-    patches = np.asarray(patches, dtype=np.float64)
-    out = np.empty(patches.shape[0], dtype=np.uint8)
-    for start in range(0, patches.shape[0], batch_size):
-        logits, _ = model.forward(patches[start:start + batch_size])
-        out[start:start + batch_size] = np.argmax(logits, axis=1)
-    return out
-
-
 def _tensor_entries(model: Model):
     for stack_name, stack in (("spatial", model.spatial_stack),
                               ("spectral", model.spectral_stack)):
@@ -300,12 +291,13 @@ def load_checkpoint(path) -> Model:
         raise TruncatedPayloadError(f"{path}: header extends past end of file")
     try:
         header = json.loads(blob[start:start + hlen].decode())
-        tensors = header["tensors"]
-    except (ValueError, KeyError) as exc:
+        tensors, config = header["tensors"], header["config"]
+    except (ValueError, KeyError, TypeError) as exc:
         raise MalformedHeaderError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(tensors, dict):
+        raise MalformedHeaderError(f"{path}: tensor table is not an object")
     try:
-        config = _config_from_dict(header["config"])
-        model = build_model(config, seed=0)
+        model = build_model(_config_from_dict(config), seed=0)
     except ContractError as exc:
         raise MalformedHeaderError(f"{path}: {exc}") from exc
     body = blob[start + hlen:]
@@ -316,12 +308,19 @@ def load_checkpoint(path) -> Model:
             shape, off, nbytes = entry["shape"], entry["offset"], entry["nbytes"]
         except (KeyError, TypeError) as exc:
             raise MalformedHeaderError(f"{path}: missing tensor {name!r}") from exc
-        if tuple(shape) != arr.shape:
+        if not isinstance(shape, list) or tuple(shape) != arr.shape:
             raise MalformedHeaderError(
                 f"{path}: tensor {name!r} has shape {shape}, expected {list(arr.shape)}")
+        if type(off) is not int or type(nbytes) is not int or off < 0 \
+                or nbytes != arr.nbytes:
+            raise MalformedHeaderError(
+                f"{path}: tensor {name!r} has offset {off!r} and {nbytes!r} "
+                f"bytes, expected an offset >= 0 and {arr.nbytes} bytes")
         if off + nbytes > len(body):
             raise TruncatedPayloadError(f"{path}: payload truncated at {name!r}")
         arr[...] = np.frombuffer(body[off:off + nbytes], dtype="<f8").reshape(arr.shape)
+        if not np.all(np.isfinite(arr)):
+            raise DataError(f"{path}: tensor {name!r} holds non-finite values")
         seen.add(name)
     extra = set(tensors) - seen
     if extra:

@@ -104,11 +104,3 @@ def basis_derivatives(grid: SplineGrid, x) -> np.ndarray:
     den_b = t[k + 1:] - t[1:-k]
     return k * (lower[..., :-1] / den_a - lower[..., 1:] / den_b)
 
-
-def spline_eval(coeffs: np.ndarray, grid: SplineGrid, x) -> np.ndarray:
-    """Evaluate the spline with the given coefficient vector at ``x``."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (grid.basis_count,):
-        raise ContractError(
-            f"expected {grid.basis_count} coefficients, got shape {coeffs.shape}")
-    return basis_values(grid, x) @ coeffs

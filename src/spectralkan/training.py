@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .metrics import kappa, overall_accuracy, tally
-from .model import Model, predict
+from .model import Model
 
 __all__ = [
     "TrainConfig", "AdamState", "TrainHistory",
@@ -88,9 +87,6 @@ class AdamState:
         self.step = 0
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
 
-    def shapes(self) -> list[tuple]:
-        return [m.shape for m in self.m]
-
 
 def adam_step(state: AdamState, params: list[np.ndarray],
               grads: list[np.ndarray], lr: float) -> None:
@@ -113,39 +109,25 @@ def adam_step(state: AdamState, params: list[np.ndarray],
 
 @dataclass
 class TrainHistory:
-    """Per-epoch loss and learning rate, plus optional evaluation metrics."""
+    """Per-epoch loss and learning rate."""
 
     epochs: list[int] = field(default_factory=list)
     lrs: list[float] = field(default_factory=list)
     losses: list[float] = field(default_factory=list)
-    oas: list[float] = field(default_factory=list)
-    kappas: list[float] = field(default_factory=list)
-
-    @property
-    def has_eval(self) -> bool:
-        return bool(self.oas)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            header = ["epoch", "lr", "loss"]
-            if self.has_eval:
-                header += ["oa", "kappa"]
-            writer.writerow(header)
-            for i, epoch in enumerate(self.epochs):
-                row = [epoch, repr(self.lrs[i]), repr(self.losses[i])]
-                if self.has_eval:
-                    row += [repr(self.oas[i]), repr(self.kappas[i])]
-                writer.writerow(row)
+            writer.writerow(["epoch", "lr", "loss"])
+            for epoch, lr, loss in zip(self.epochs, self.lrs, self.losses):
+                writer.writerow([epoch, repr(lr), repr(loss)])
 
 
-def train(model: Model, dataset, config: TrainConfig,
-          eval_set=None) -> tuple[Model, TrainHistory]:
+def train(model: Model, dataset, config: TrainConfig) -> tuple[Model, TrainHistory]:
     """Fit ``model`` on a patch set; returns the model and its history.
 
     ``dataset`` needs ``patches`` of shape ``(n, p, p, b)`` and integer
-    ``labels``; ``eval_set`` (same interface) adds per-epoch OA/Kappa to
-    the history. The model is updated in place.
+    ``labels``. The model is updated in place.
     """
     patches = np.asarray(dataset.patches, dtype=np.float64)
     labels = np.asarray(dataset.labels)
@@ -171,11 +153,6 @@ def train(model: Model, dataset, config: TrainConfig,
         history.epochs.append(epoch)
         history.lrs.append(lr)
         history.losses.append(total / n)
-        if eval_set is not None:
-            pred = predict(model, eval_set.patches)
-            cm = tally(pred, np.asarray(eval_set.labels))
-            history.oas.append(overall_accuracy(cm))
-            history.kappas.append(kappa(cm))
     return model, history
 
 

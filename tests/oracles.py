@@ -109,3 +109,25 @@ def max_rel_err(analytic, numeric, floor=1e-8):
         if np.any(mask):
             worst = max(worst, float((diff[mask] / scale[mask]).max()))
     return worst
+
+
+def naive_patch(values, row: int, col: int, p: int) -> np.ndarray:
+    """The p x p window centered at (row, col), reflected one index at a time.
+
+    An index past an edge is mirrored across it with the edge duplicated,
+    and mirrored again until it lands inside the raster.
+    """
+    h, w = values.shape[:2]
+
+    def reflect(i, n):
+        while i < 0 or i >= n:
+            i = -1 - i if i < 0 else 2 * n - 1 - i
+        return i
+
+    half = p // 2
+    out = np.empty((p, p) + values.shape[2:], dtype=values.dtype)
+    for dr in range(p):
+        for dc in range(p):
+            out[dr, dc] = values[reflect(row - half + dr, h),
+                                 reflect(col - half + dc, w)]
+    return out

@@ -1,12 +1,14 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from spectralkan import (LabelMap, Variant, build_model, load_checkpoint,
-                         load_labels, make_grid, ModelConfig)
+                         load_labels, make_grid, ModelConfig, save_checkpoint)
 from spectralkan.cli import build_parser, main
 from spectralkan.data import save_labels
+from spectralkan.errors import DataError
 
 
 SYNTH_ARGS = ["synth", "--height", "24", "--width", "24", "--bands", "8",
@@ -113,7 +115,6 @@ class TestTrainEval:
         run = tmp_path / "run"
         assert main(train_args(dataset, run, FAST_TRAIN)) == 0
         model = load_checkpoint(run / "model.ckpt")
-        from spectralkan import save_checkpoint
         save_checkpoint(model, tmp_path / "again.ckpt")
         assert (tmp_path / "again.ckpt").read_bytes() == \
             (run / "model.ckpt").read_bytes()
@@ -156,6 +157,20 @@ class TestTrainEval:
         assert main(train_args(dataset, tmp_path,
                                ["--config", str(config)])) == 2
 
+    @pytest.mark.parametrize("command,values", [
+        ("train", {"lr": None}),
+        ("train", {"variant": "bogus"}),
+        ("gradcheck", {"threshold": "x"}),
+        ("count", {"bands": "x"}),
+    ])
+    def test_config_value_must_convert_like_its_flag(self, dataset, tmp_path,
+                                                     command, values):
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps(values))
+        argv = {"train": train_args(dataset, tmp_path / "out"),
+                "gradcheck": ["gradcheck"], "count": ["count"]}[command]
+        assert main(argv + ["--config", str(config)]) == 2
+
 
 class TestErrorPaths:
     def test_band_mismatch_is_config_error(self, dataset, tmp_path):
@@ -188,6 +203,45 @@ class TestErrorPaths:
         args = ["train", str(bad), str(dataset / "t2.json"),
                 str(dataset / "labels.pgm"), "--out-dir", str(tmp_path)]
         assert main(args) == 3
+
+
+def corrupt_checkpoint(path, how):
+    """Rewrite one field of a saved checkpoint, keeping the rest intact."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    header, body = json.loads(blob[16:16 + hlen]), bytearray(blob[16 + hlen:])
+    entry = next(e for e in header["tensors"].values() if e["offset"] == 0)
+    if how == "nbytes-8-short":
+        entry["nbytes"] -= 8
+    elif how == "nbytes-3-short":
+        entry["nbytes"] -= 3
+    elif how == "string-offset":
+        entry["offset"] = "0"
+    elif how == "negative-offset":
+        entry["offset"] = -8
+    elif how == "list-header":
+        header = [header]
+    elif how == "nan-payload":
+        body[:8] = struct.pack("<d", float("nan"))
+    text = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + body)
+
+
+class TestCorruptCheckpoint:
+    @pytest.mark.parametrize("how", [
+        "nbytes-8-short", "nbytes-3-short", "string-offset", "negative-offset",
+        "list-header", "nan-payload",
+    ])
+    def test_rejected_as_data_error(self, dataset, tmp_path, how):
+        config = ModelConfig(variant=Variant.SPECTRAL_KAN, patch_size=5,
+                             bands=8, spatial_nodes=[25, 16, 1],
+                             spectral_nodes=[8, 16, 2], grid=make_grid())
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(config, seed=1), ckpt)
+        corrupt_checkpoint(ckpt, how)
+        with pytest.raises(DataError):
+            load_checkpoint(ckpt)
+        assert main(eval_args(dataset, ckpt, tmp_path / "ev")) == 3
 
 
 class TestCount:

@@ -3,14 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from spectralkan import (HsiCube, LabelMap, difference, extract_patch,
-                         extract_patches, load_cube, load_labels, normalize,
-                         patch_set, save_cube, save_labels, stratified_split,
+from spectralkan import (HsiCube, LabelMap, difference, extract_patches,
+                         load_cube, load_labels, normalize, patch_set,
+                         save_cube, save_labels, stratified_split,
                          synth_dataset)
 from spectralkan.data import load_pgm, save_pgm
 from spectralkan.errors import (ContractError, DataError,
                                 DimensionOverflowError, DomainError,
                                 MalformedHeaderError, TruncatedPayloadError)
+
+from oracles import naive_patch
 
 
 def random_cube(h, w, b, seed=0):
@@ -85,7 +87,7 @@ class TestNormalize:
 class TestPatches:
     def test_interior_is_plain_window(self):
         cube = random_cube(6, 6, 2, seed=6)
-        patch = extract_patch(cube, 3, 3, 3)
+        patch = extract_patches(cube, [(3, 3)], 3)[0]
         assert np.array_equal(patch, cube.values[2:5, 2:5])
 
     def test_corner_mirror_against_index_oracle(self):
@@ -95,7 +97,7 @@ class TestPatches:
             # independent mapping: reflect across the boundary, edge duplicated
             return -1 - i if i < 0 else (2 * n - 1 - i if i >= n else i)
 
-        patch = extract_patch(cube, 0, 0, 3)
+        patch = extract_patches(cube, [(0, 0)], 3)[0]
         for dr in (-1, 0, 1):
             for dc in (-1, 0, 1):
                 src = cube.values[mirror(dr, 5), mirror(dc, 5)]
@@ -103,28 +105,45 @@ class TestPatches:
 
     def test_single_pixel_patch(self):
         cube = random_cube(4, 4, 3, seed=8)
-        patch = extract_patch(cube, 2, 1, 1)
+        patch = extract_patches(cube, [(2, 1)], 1)[0]
         assert np.array_equal(patch[0, 0], cube.values[2, 1])
 
     def test_idempotent(self):
         cube = random_cube(5, 5, 2, seed=9)
-        a = extract_patch(cube, 1, 4, 5)
-        b = extract_patch(cube, 1, 4, 5)
+        a = extract_patches(cube, [(1, 4)], 5)
+        b = extract_patches(cube, [(1, 4)], 5)
         assert np.array_equal(a, b)
 
     def test_rejects_even_size_and_outside_center(self):
         cube = random_cube(4, 4, 1)
         with pytest.raises(ContractError):
-            extract_patch(cube, 1, 1, 4)
+            extract_patches(cube, [(1, 1)], 4)
         with pytest.raises(ContractError):
-            extract_patch(cube, 4, 0, 3)
+            extract_patches(cube, [(4, 0)], 3)
+
+    @pytest.mark.parametrize("center,p", [
+        ((-1, 0), 1), ((4, 0), 1), ((-1, 0), 3), ((0, 4), 3), ((2, -1), 5),
+    ])
+    def test_rejects_center_outside_raster(self, center, p):
+        cube = random_cube(4, 4, 1)
+        with pytest.raises(ContractError):
+            extract_patches(cube, [(1, 1), center], p)
 
     def test_batch_matches_per_pixel(self):
-        cube = random_cube(6, 5, 3, seed=10)
-        coords = np.array([[0, 0], [5, 4], [3, 2], [0, 4]])
-        batch = extract_patches(cube, coords, 5)
-        for i, (r, c) in enumerate(coords):
-            assert np.array_equal(batch[i], extract_patch(cube, r, c, 5))
+        # Every center of every raster up to 6x6, with windows up to 15
+        # wide: p=1, interior pixels, edges, and windows larger than the
+        # raster, where the reflection repeats.
+        for h in range(1, 7):
+            for w in range(1, 7):
+                for b in (1, 3):
+                    cube = random_cube(h, w, b, seed=10 * h + w)
+                    coords = np.argwhere(np.ones((h, w), dtype=bool))
+                    for p in range(1, 16, 2):
+                        batch = extract_patches(cube, coords, p)
+                        assert batch.shape == (h * w, p, p, b)
+                        for (r, c), patch in zip(coords, batch):
+                            assert np.array_equal(
+                                patch, naive_patch(cube.values, r, c, p))
 
     def test_patch_set_alignment(self):
         cube = random_cube(6, 6, 2, seed=11)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from spectralkan import (ConfusionMatrix, LabelMap, accumulate, kappa,
-                         overall_accuracy, report, tally)
+from spectralkan import (ConfusionMatrix, LabelMap, kappa, overall_accuracy,
+                         report, tally)
 from spectralkan.errors import ContractError, UndefinedMetricError
 
 
@@ -11,15 +11,17 @@ def cm(tn, fp, fn, tp):
 
 
 class TestAccumulate:
+    """Tallying a full prediction grid against a label map."""
+
     def test_perfect_prediction_is_diagonal(self):
         truth = LabelMap((np.arange(16).reshape(4, 4) % 2).astype(np.uint8))
-        result = accumulate(truth.labels.copy(), truth)
+        result = tally(truth.labels.copy(), truth.labels)
         assert result.counts[0, 1] == 0 and result.counts[1, 0] == 0
         assert result.total == 16
 
     def test_all_unknown_is_empty(self):
         truth = LabelMap(np.full((3, 3), 255, dtype=np.uint8))
-        result = accumulate(np.zeros((3, 3), dtype=np.uint8), truth)
+        result = tally(np.zeros((3, 3), dtype=np.uint8), truth.labels)
         assert result.total == 0
         with pytest.raises(UndefinedMetricError):
             overall_accuracy(result)
@@ -27,20 +29,20 @@ class TestAccumulate:
     def test_four_pixel_enumeration(self):
         truth = LabelMap(np.array([[0, 0], [1, 1]], dtype=np.uint8))
         pred = np.array([[0, 1], [0, 1]], dtype=np.uint8)
-        result = accumulate(pred, truth)
+        result = tally(pred, truth.labels)
         assert result.counts.tolist() == [[1, 1], [1, 1]]
 
     def test_unknowns_are_masked(self):
         truth = LabelMap(np.array([[0, 255], [255, 1]], dtype=np.uint8))
         pred = np.array([[1, 1], [0, 1]], dtype=np.uint8)
-        result = accumulate(pred, truth)
+        result = tally(pred, truth.labels)
         assert result.total == 2
         assert result.counts[0, 1] == 1 and result.counts[1, 1] == 1
 
     def test_rejects_dimension_mismatch(self):
         truth = LabelMap(np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(ContractError):
-            accumulate(np.zeros((3, 2), dtype=np.uint8), truth)
+            tally(np.zeros((3, 2), dtype=np.uint8), truth.labels)
 
 
 class TestOverallAccuracy:
@@ -94,8 +96,9 @@ class TestProperties:
         rng = np.random.default_rng(1)
         pred = rng.integers(0, 2, size=100)
         truth = rng.integers(0, 2, size=100)
-        merged = tally(pred[:37], truth[:37]) + tally(pred[37:], truth[37:])
-        assert np.array_equal(merged.counts, tally(pred, truth).counts)
+        merged = tally(pred[:37], truth[:37]).counts \
+            + tally(pred[37:], truth[37:]).counts
+        assert np.array_equal(merged, tally(pred, truth).counts)
 
     def test_report_payload(self):
         payload = report(cm(40, 10, 10, 40))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spectralkan import basis_derivatives, basis_values, make_grid, spline_eval
+from spectralkan import basis_derivatives, basis_values, make_grid
 from spectralkan.errors import ContractError, DomainError
 
 from oracles import naive_basis_vector
@@ -108,22 +108,20 @@ class TestBasisDerivatives:
 
 
 class TestSplineEval:
+    """Splines as the layers form them: basis values times coefficients."""
+
     def test_zero_coefficients(self, grid):
         coeffs = np.zeros(grid.basis_count)
         xs = np.linspace(-1.0, 1.0, 50)
-        assert np.all(spline_eval(coeffs, grid, xs) == 0.0)
+        assert np.all(basis_values(grid, xs) @ coeffs == 0.0)
 
     def test_constant_coefficients(self, grid):
         coeffs = np.full(grid.basis_count, 2.5)
         xs = np.linspace(-1.0, 1.0, 50)
-        assert np.abs(spline_eval(coeffs, grid, xs) - 2.5).max() <= 1e-12
+        assert np.abs(basis_values(grid, xs) @ coeffs - 2.5).max() <= 1e-12
 
     def test_matches_oracle_sum(self, grid):
         rng = np.random.default_rng(2)
         coeffs = rng.standard_normal(grid.basis_count)
         expected = float(coeffs @ naive_basis_vector(grid, 0.5))
-        assert abs(spline_eval(coeffs, grid, 0.5) - expected) <= 1e-12
-
-    def test_rejects_length_mismatch(self, grid):
-        with pytest.raises(ContractError):
-            spline_eval(np.zeros(grid.basis_count + 1), grid, 0.0)
+        assert abs(basis_values(grid, 0.5) @ coeffs - expected) <= 1e-12

@@ -148,19 +148,6 @@ class TestTrain:
         assert len(history.losses) == 7
         assert history.lrs[0] == 0.001
 
-    def test_optional_eval_columns(self, tmp_path):
-        model = tiny_model(seed=4)
-        dataset = separable_patchset(seed=4)
-        _, history = train(model, dataset,
-                           TrainConfig(epochs=3, batch_size=16),
-                           eval_set=dataset)
-        assert len(history.oas) == 3
-        out = tmp_path / "history.csv"
-        history.to_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "epoch,lr,loss,oa,kappa"
-        assert len(lines) == 4
-
     def test_rejects_empty_training_set(self):
         model = tiny_model()
         empty = PatchSet(np.empty((0, 3, 3, 4)), np.empty(0, dtype=np.int64),
