@@ -35,12 +35,15 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|) so
+    # that exp never overflows; computed in place to keep one extra buffer.
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    np.copyto(e, 1.0, where=x >= 0)
+    np.divide(e, d, out=e)
+    return e
 
 
 def _silu_grad(x: np.ndarray, sig: np.ndarray) -> np.ndarray:

@@ -4,8 +4,15 @@ Every learnable activation in the network is a linear combination of the
 basis functions produced here. The knot vector is uniform over
 ``[lo, hi]`` and extended ``degree`` spans beyond each side, which gives
 ``grid_size + degree`` basis functions. Inputs outside the domain are
-evaluated as-is; basis values decay to zero outside their support, no
-clamping or grid adaptation takes place.
+evaluated as-is, with no clamping or grid adaptation.
+
+Evaluation is local, as in de Boor's BSPLVB: each input ``x`` lies in one
+knot span ``s`` with ``knots[s] <= x < knots[s+1]``, and only the
+``degree + 1`` basis functions ``s - degree .. s`` are nonzero there.
+Their values follow from the recursion on the fractional offset
+``(x - knots[s]) / h`` and are written into the dense result, whose other
+entries are exact zeros. Inputs outside ``[knots[0], knots[-1])`` lie in
+no span, and every basis function is exactly zero there.
 """
 
 from __future__ import annotations
@@ -45,9 +52,14 @@ def make_grid(degree: int = 3, grid_size: int = 5,
         raise ContractError(f"grid_size must be positive, got {grid_size}")
     if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
         raise ContractError(f"invalid domain [{lo}, {hi}]")
-    h = (hi - lo) / grid_size
     idx = np.arange(-degree, grid_size + degree + 1, dtype=np.float64)
-    knots = lo + idx * h
+    with np.errstate(over="ignore", invalid="ignore"):
+        knots = lo + idx * ((hi - lo) / grid_size)
+        # The span search needs strictly increasing knots whose whole
+        # extent is finite, so that no difference of two of them overflows.
+        if not (np.isfinite(knots[-1] - knots[0]) and np.all(np.diff(knots) > 0)):
+            raise ContractError(f"domain [{lo}, {hi}] gives knots that are not "
+                                f"strictly increasing within the float range")
     return SplineGrid(degree=degree, grid_size=grid_size, lo=float(lo),
                       hi=float(hi), knots=knots)
 
@@ -59,21 +71,68 @@ def _check_finite(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _degree_zero(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
-    xe = x[..., None]
-    return ((xe >= knots[:-1]) & (xe < knots[1:])).astype(np.float64)
+def _span_offset(grid: SplineGrid, x: np.ndarray):
+    """Knot span and fractional offset of each input of the 1-D ``x``.
+
+    The span obeys ``knots[s] <= x < knots[s+1]``; it is -1 below the
+    knots and ``len(knots) - 1`` at or above the last one. The estimate
+    from the uniform spacing can be one off next to a knot, so one
+    comparison with the knots on each side settles it. Clipping ``x`` to
+    the knot range first keeps the arithmetic finite for any finite input.
+    """
+    t = grid.knots
+    h = (grid.hi - grid.lo) / grid.grid_size
+    xc = np.clip(x, t[0], t[-1])
+    span = ((xc - t[0]) / h).astype(np.intp)
+    np.minimum(span, len(t) - 2, out=span)
+    span -= x < t[span]
+    span += x >= t[span + 1]
+    u = xc - t[np.clip(span, 0, len(t) - 2)]
+    u /= h
+    # The knots are rounded multiples of h, so just below knots[s+1] the
+    # offset can round past 1 and turn a weight slightly negative.
+    np.minimum(u, 1.0, out=u)
+    return span, u
 
 
-def _raise_degree(b: np.ndarray, knots: np.ndarray, x: np.ndarray,
-                  up_to: int) -> np.ndarray:
-    # Cox-de Boor recursion; uniform knots are strictly increasing, so no
-    # zero denominators arise.
-    xe = x[..., None]
-    for d in range(1, up_to + 1):
-        left = (xe - knots[:-(d + 1)]) / (knots[d:-1] - knots[:-(d + 1)])
-        right = (knots[d + 1:] - xe) / (knots[d + 1:] - knots[1:-d])
-        b = left * b[..., :-1] + right * b[..., 1:]
-    return b
+def _local_basis(u: np.ndarray, degree: int) -> np.ndarray:
+    """The ``degree + 1`` basis functions that are nonzero on a span.
+
+    ``w[r]`` is the value of function ``s - degree + r`` at offset ``u``
+    into span ``s``; on uniform knots every denominator of the recursion
+    is ``j`` spacings.
+    """
+    w = np.empty((degree + 1,) + u.shape)
+    w[0] = 1.0
+    for j in range(1, degree + 1):
+        saved = 0.0
+        for r in range(j):
+            temp = w[r] / j
+            w[r] = saved + (r + 1 - u) * temp
+            saved = (u + (j - 1 - r)) * temp
+        w[j] = saved
+    return w
+
+
+def _dense(grid: SplineGrid, shape: tuple, span: np.ndarray,
+           w: np.ndarray) -> np.ndarray:
+    """Write ``w[r]`` into column ``span - degree + r`` of a zero result.
+
+    Columns outside ``0 .. basis_count - 1`` belong to functions beyond
+    the knot vector, or to inputs outside every span; their writes go to
+    one spare slot past the end of the buffer, which the result excludes.
+    """
+    nb = grid.basis_count
+    n = span.size
+    flat = np.zeros(n * nb + 1)
+    first = span - grid.degree
+    row = np.arange(0, n * nb, nb)
+    for r in range(grid.degree + 1):
+        col = first + r
+        idx = row + col
+        np.copyto(idx, n * nb, where=(col < 0) | (col >= nb))
+        flat[idx] = w[r]
+    return flat[:-1].reshape(shape + (nb,))
 
 
 def basis_values(grid: SplineGrid, x) -> np.ndarray:
@@ -84,23 +143,25 @@ def basis_values(grid: SplineGrid, x) -> np.ndarray:
     the domain they sum to one.
     """
     x = _check_finite(x)
-    b = _degree_zero(grid.knots, x)
-    return _raise_degree(b, grid.knots, x, grid.degree)
+    span, u = _span_offset(grid, x.reshape(-1))
+    return _dense(grid, x.shape, span, _local_basis(u, grid.degree))
 
 
 def basis_derivatives(grid: SplineGrid, x) -> np.ndarray:
     """First derivative of each basis function at ``x``.
 
-    Uses the degree-reduction identity: the derivative of a degree-k basis
-    function is a weighted difference of two degree-(k-1) functions.
+    Uses the degree-reduction identity: on uniform knots with spacing
+    ``h``, the derivative of degree-k function ``i`` is the difference of
+    degree-(k-1) functions ``i`` and ``i + 1``, divided by ``h``.
     """
     x = _check_finite(x)
     k = grid.degree
     if k == 0:
         return np.zeros(x.shape + (grid.basis_count,), dtype=np.float64)
-    t = grid.knots
-    lower = _raise_degree(_degree_zero(t, x), t, x, k - 1)
-    den_a = t[k:-1] - t[:-(k + 1)]
-    den_b = t[k + 1:] - t[1:-k]
-    return k * (lower[..., :-1] / den_a - lower[..., 1:] / den_b)
-
+    span, u = _span_offset(grid, x.reshape(-1))
+    lower = _local_basis(u, k - 1)
+    d = np.zeros((k + 1,) + u.shape)
+    d[1:] = lower
+    d[:-1] -= lower
+    d /= (grid.hi - grid.lo) / grid.grid_size
+    return _dense(grid, x.shape, span, d)

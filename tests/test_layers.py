@@ -1,9 +1,13 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from spectralkan import (FullKanLayer, SharedKanLayer, init_params,
                          make_grid)
 from spectralkan.errors import ContractError, DomainError
+from spectralkan.layers import sigmoid
 
 from oracles import fd_loss_grads, max_rel_err
 
@@ -61,6 +65,42 @@ class TestForward:
             layer.forward(np.zeros((3, 5)))
         with pytest.raises(DomainError):
             layer.forward(np.array([[0.0, np.nan, 0.0, 0.0]]))
+
+    def test_huge_finite_input_gives_finite_output(self):
+        layer = init_params("shared", 3, 2, grid=GRID, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, _ = layer.forward(np.array([[1e308, 0.0, 0.0]]))
+        assert np.all(np.isfinite(out))
+
+
+def two_branch_sigmoid(x):
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_bitwise_equal_to_two_branch_formula(self):
+        edges = np.array([0.0, 1e-300, 40.0, 710.0, 800.0])
+        x = np.concatenate([edges, -edges,
+                            np.random.default_rng(6).normal(0, 20, 1000)])
+        assert np.array_equal(sigmoid(x).view(np.uint64),
+                              two_branch_sigmoid(x).view(np.uint64))
+
+    def test_peak_memory_within_two_and_a_half_inputs(self):
+        x = np.random.default_rng(7).normal(0, 3, (1200, 25))
+        tracemalloc.start()
+        try:
+            sigmoid(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * x.nbytes
 
 
 class TestBackward:

@@ -1,10 +1,17 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from spectralkan import basis_derivatives, basis_values, make_grid
 from spectralkan.errors import ContractError, DomainError
 
-from oracles import naive_basis_vector
+from oracles import naive_basis, naive_basis_vector
+
+DEGREES = range(6)
+GRID_SIZES = range(1, 9)
+DOMAINS = [(-1.0, 1.0), (0.0, 1.0), (-3.0, 0.7)]
 
 
 @pytest.fixture
@@ -26,6 +33,8 @@ class TestGridConstruction:
         (3, 0, -1.0, 1.0),
         (3, 5, 1.0, -1.0),
         (3, 5, 0.0, 0.0),
+        (3, 5, -1e308, 1e308),
+        (3, 5, -8e307, 8e307),
     ])
     def test_rejects_bad_settings(self, degree, grid_size, lo, hi):
         with pytest.raises(ContractError):
@@ -125,3 +134,81 @@ class TestSplineEval:
         coeffs = rng.standard_normal(grid.basis_count)
         expected = float(coeffs @ naive_basis_vector(grid, 0.5))
         assert abs(basis_values(grid, 0.5) @ coeffs - expected) <= 1e-12
+
+
+def _oracle_points(grid):
+    """Every knot, both float neighbours of each, and a sweep past both ends."""
+    t = grid.knots
+    return np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+                           np.linspace(t[0] - 1.0, t[-1] + 1.0, 61)])
+
+
+class TestLocalEvaluator:
+    """The local evaluator against the global recursion oracle."""
+
+    @pytest.mark.parametrize("lo,hi", DOMAINS)
+    @pytest.mark.parametrize("grid_size", GRID_SIZES)
+    @pytest.mark.parametrize("degree", DEGREES)
+    def test_values_match_oracle(self, degree, grid_size, lo, hi):
+        g = make_grid(degree, grid_size, lo, hi)
+        xs = _oracle_points(g)
+        expected = np.array([naive_basis_vector(g, x) for x in xs])
+        values = basis_values(g, xs)
+        assert np.abs(values - expected).max() <= 1e-12
+        assert (values >= 0.0).all()
+
+    @pytest.mark.parametrize("lo,hi", DOMAINS)
+    @pytest.mark.parametrize("grid_size", GRID_SIZES)
+    @pytest.mark.parametrize("degree", DEGREES[1:])
+    def test_derivatives_match_oracle_differences(self, degree, grid_size, lo, hi):
+        g = make_grid(degree, grid_size, lo, hi)
+        t = g.knots
+        # Inside every span, away from the knots where the derivative of a
+        # low-degree function jumps, and one point past each end.
+        inner = t[:-1, None] + np.diff(t)[:, None] * np.array([0.1, 0.37, 0.5, 0.81])
+        xs = np.concatenate([inner.ravel(), [t[0] - 0.5, t[-1] + 0.5]])
+        h = 1e-6
+        fd = np.array([[(naive_basis(x + h, degree, i, t)
+                         - naive_basis(x - h, degree, i, t)) / (2 * h)
+                        for i in range(g.basis_count)] for x in xs])
+        an = basis_derivatives(g, xs)
+        scale = max(np.abs(an).max(), 1.0)
+        assert np.abs(fd - an).max() / scale <= 1e-6
+
+    @pytest.mark.parametrize("degree", [0, 3])
+    @pytest.mark.parametrize("x", [0.0, np.zeros(0), np.zeros((0, 5)),
+                                   np.array([[1, 0], [-1, 2]])],
+                             ids=["0-d", "empty", "empty-2d", "int"])
+    def test_shape_contract(self, degree, x):
+        g = make_grid(degree=degree)
+        for fn in (basis_values, basis_derivatives):
+            out = fn(g, x)
+            assert out.shape == np.shape(x) + (g.basis_count,)
+            assert out.dtype == np.float64
+
+    @pytest.mark.parametrize("degree", [0, 1, 3, 5])
+    def test_exact_zeros_outside_knots(self, degree):
+        g = make_grid(degree=degree)
+        t = g.knots
+        big = np.finfo(np.float64).max
+        xs = np.array([big, -big, 1e308, -1e308, 1e100, -1e100, 40.0, -40.0,
+                       t[-1], np.nextafter(t[0], -np.inf),
+                       np.nextafter(t[-1], np.inf)])
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = basis_values(g, xs)
+            derivs = basis_derivatives(g, xs)
+        assert np.all(values == 0.0) and np.all(derivs == 0.0)
+
+    @pytest.mark.parametrize("fn", [basis_values, basis_derivatives])
+    def test_peak_memory_within_four_outputs(self, grid, fn):
+        # The global recursion peaked at 7.4x (values) and 6.4x
+        # (derivatives) of the output at this shape.
+        x = np.random.default_rng(5).uniform(-1.3, 1.3, (1200, 25))
+        tracemalloc.start()
+        try:
+            out = fn(grid, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * out.nbytes
