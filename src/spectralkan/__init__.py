@@ -15,7 +15,7 @@ from .data import (HsiCube, LabelMap, PatchSet, SplitSpec, difference,
                    synth_dataset)
 from .errors import (ContractError, DataError, DomainError,
                      UndefinedMetricError)
-from .layers import DenseLayer, FullKanLayer, SharedKanLayer, init_params, silu
+from .layers import DenseLayer, FullKanLayer, SharedKanLayer, init_params
 from .metrics import ConfusionMatrix, kappa, overall_accuracy, report, tally
 from .model import (Model, ModelConfig, Variant, build_model,
                     load_checkpoint, save_checkpoint)
@@ -30,7 +30,7 @@ __all__ = [
     "extract_patches", "load_cube", "load_labels", "normalize", "patch_set",
     "save_cube", "save_labels", "stratified_split", "synth_dataset",
     "ContractError", "DataError", "DomainError", "UndefinedMetricError",
-    "DenseLayer", "FullKanLayer", "SharedKanLayer", "init_params", "silu",
+    "DenseLayer", "FullKanLayer", "SharedKanLayer", "init_params",
     "ConfusionMatrix", "kappa", "overall_accuracy", "report", "tally",
     "Model", "ModelConfig", "Variant", "build_model", "load_checkpoint",
     "save_checkpoint",

@@ -26,19 +26,8 @@ from .training import TrainConfig, gradient_check, train
 
 CHECK_FAILED = 4
 
-_TRAIN_DEFAULTS = {
-    "variant": Variant.SPECTRAL_KAN.value,
-    "patch_size": 5,
-    "spatial_nodes": None,   # derived: [p*p, 16, 1]
-    "spectral_nodes": None,  # derived: [bands, 16, 2]
-    "epochs": 200,
-    "batch_size": 64,
-    "lr": 1e-3,
-    "decay_factor": 0.9,
-    "decay_every": 10,
-    "train_fraction": 0.01,
-    "seed": 0,
-}
+# Share of each class trained on; eval rebuilds the same held-out split.
+_TRAIN_FRACTION = 0.01
 
 
 def _parse_nodes(value) -> list[int] | None:
@@ -52,31 +41,28 @@ def _parse_nodes(value) -> list[int] | None:
         raise ContractError(f"node list must be comma-separated integers, got {value!r}")
 
 
-def _apply_config_file(args: argparse.Namespace, defaults: dict) -> None:
-    """Fill unset options from the --config file, then from defaults.
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """Option values from the --config file.
 
     A file value goes through the type and choices of its flag, as the
     flag's own text would.
     """
-    file_values = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            file_values = json.loads(Path(config_path).read_text())
-        except ValueError as exc:
-            raise ContractError(f"{config_path}: invalid JSON: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise ContractError(f"{config_path}: config must be a JSON object")
-        unknown = set(file_values) - set(defaults)
-        if unknown:
-            raise ContractError(
-                f"{config_path}: unknown config keys {sorted(unknown)}")
-        flags = {action.dest: action for action in args.command_parser._actions}
-        for key, value in file_values.items():
-            file_values[key] = _convert(flags[key], value, config_path)
-    for key, default in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, file_values.get(key, default))
+    config_path = args.config
+    try:
+        values = json.loads(Path(config_path).read_text())
+    except ValueError as exc:
+        raise ContractError(f"{config_path}: invalid JSON: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ContractError(f"{config_path}: config must be a JSON object")
+    flags = {action.dest: action for action in args.command_parser._actions
+             if action.option_strings
+             and action.dest not in ("help", "config", "out_dir")}
+    unknown = set(values) - set(flags)
+    if unknown:
+        raise ContractError(
+            f"{config_path}: unknown config keys {sorted(unknown)}")
+    return {key: _convert(flags[key], value, config_path)
+            for key, value in values.items()}
 
 
 def _convert(flag: argparse.Action, value, config_path):
@@ -95,7 +81,7 @@ def _convert(flag: argparse.Action, value, config_path):
 
 
 def _model_config(args, bands: int) -> ModelConfig:
-    p = int(args.patch_size)
+    p = args.patch_size
     spatial = _parse_nodes(args.spatial_nodes) or [p * p, 16, 1]
     spectral = _parse_nodes(args.spectral_nodes) or [bands, 16, 2]
     return ModelConfig(variant=Variant(args.variant), patch_size=p, bands=bands,
@@ -152,17 +138,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _apply_config_file(args, _TRAIN_DEFAULTS)
     x1, x2, labels = _load_pair(args)
     cube = normalize(difference(x1, x2))
     config = _model_config(args, cube.bands)
-    tc = TrainConfig(epochs=int(args.epochs), batch_size=int(args.batch_size),
-                     base_lr=float(args.lr),
-                     decay_factor=float(args.decay_factor),
-                     decay_every=int(args.decay_every), seed=int(args.seed))
-    split = stratified_split(labels, float(args.train_fraction), int(args.seed))
+    tc = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
+                     base_lr=args.lr, decay_factor=args.decay_factor,
+                     decay_every=args.decay_every, seed=args.seed)
+    split = stratified_split(labels, args.train_fraction, args.seed)
     train_ps = patch_set(cube, labels, split.train_indices, config.patch_size)
-    model = build_model(config, seed=int(args.seed))
+    model = build_model(config, seed=args.seed)
     model, history = train(model, train_ps, tc)
 
     pred = predict_at(model, cube, split.test_indices)
@@ -180,7 +164,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _apply_config_file(args, {"train_fraction": 0.01, "seed": 0})
     model = load_checkpoint(args.checkpoint)
     x1, x2, labels = _load_pair(args)
     if model.config.bands != x1.bands:
@@ -197,7 +180,7 @@ def cmd_eval(args) -> int:
 
     # Metrics are reported on the held-out split so that evaluating right
     # after training reproduces the training run's final report.
-    split = stratified_split(labels, float(args.train_fraction), int(args.seed))
+    split = stratified_split(labels, args.train_fraction, args.seed)
     pred_grid = np.full(labels.labels.shape, UNKNOWN, dtype=np.uint8)
     pred_grid[known[:, 0], known[:, 1]] = pred
     test_r, test_c = split.test_indices[:, 0], split.test_indices[:, 1]
@@ -214,13 +197,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_count(args) -> int:
-    _apply_config_file(args, {
-        "variant": Variant.SPECTRAL_KAN.value, "patch_size": 5,
-        "spatial_nodes": None, "spectral_nodes": None, "bands": None,
-    })
     if args.bands is None:
         raise ContractError("--bands is required for accounting")
-    config = _model_config(args, int(args.bands))
+    config = _model_config(args, args.bands)
     model = build_model(config, seed=0)
     per_layer = []
     for stack_name, stack in (("spatial", model.spatial_stack),
@@ -246,22 +225,18 @@ def cmd_count(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    _apply_config_file(args, {
-        "variant": Variant.SPECTRAL_KAN.value, "threshold": 1e-4, "seed": 0,
-    })
     p, b = 3, 4
     config = ModelConfig(variant=Variant(args.variant), patch_size=p, bands=b,
                          spatial_nodes=[p * p, 4, 1], spectral_nodes=[b, 4, 2],
                          grid=make_grid())
-    model = build_model(config, seed=int(args.seed))
-    rng = np.random.default_rng(int(args.seed))
+    model = build_model(config, seed=args.seed)
+    rng = np.random.default_rng(args.seed)
     patches = rng.uniform(-0.9, 0.9, size=(8, p, p, b))
     labels = np.arange(8) % 2
     err = gradient_check(model, patches, labels, step=1e-6)
-    threshold = float(args.threshold)
-    status = "PASS" if err <= threshold else "FAIL"
+    status = "PASS" if err <= args.threshold else "FAIL"
     print(f"gradcheck variant={config.variant.value} params={model.total_params()} "
-          f"max_rel_err={err:.3e} threshold={threshold:.1e}: {status}")
+          f"max_rel_err={err:.3e} threshold={args.threshold:.1e}: {status}")
     return 0 if status == "PASS" else CHECK_FAILED
 
 
@@ -272,6 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "hyperspectral cubes.")
     sub = parser.add_subparsers(dest="command", required=True)
     variants = [v.value for v in Variant]
+    variant = ModelConfig.variant.value
 
     sy = sub.add_parser("synth", help="write a synthetic bi-temporal dataset")
     sy.add_argument("--height", type=int, default=64)
@@ -288,17 +264,22 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("t2", help="second-epoch cube header (.json)")
     tr.add_argument("labels", help="ground-truth PGM")
     tr.add_argument("--config", help="JSON file with option defaults")
-    tr.add_argument("--variant", choices=variants)
-    tr.add_argument("--patch-size", type=int, dest="patch_size")
+    tr.add_argument("--variant", choices=variants, default=variant)
+    tr.add_argument("--patch-size", type=int, dest="patch_size",
+                    default=ModelConfig.patch_size)
     tr.add_argument("--spatial-nodes", dest="spatial_nodes")
     tr.add_argument("--spectral-nodes", dest="spectral_nodes")
-    tr.add_argument("--epochs", type=int)
-    tr.add_argument("--batch-size", type=int, dest="batch_size")
-    tr.add_argument("--lr", type=float)
-    tr.add_argument("--decay-factor", type=float, dest="decay_factor")
-    tr.add_argument("--decay-every", type=int, dest="decay_every")
-    tr.add_argument("--train-fraction", type=float, dest="train_fraction")
-    tr.add_argument("--seed", type=int)
+    tr.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    tr.add_argument("--batch-size", type=int, dest="batch_size",
+                    default=TrainConfig.batch_size)
+    tr.add_argument("--lr", type=float, default=TrainConfig.base_lr)
+    tr.add_argument("--decay-factor", type=float, dest="decay_factor",
+                    default=TrainConfig.decay_factor)
+    tr.add_argument("--decay-every", type=int, dest="decay_every",
+                    default=TrainConfig.decay_every)
+    tr.add_argument("--train-fraction", type=float, dest="train_fraction",
+                    default=_TRAIN_FRACTION)
+    tr.add_argument("--seed", type=int, default=TrainConfig.seed)
     tr.add_argument("--out-dir", required=True)
     tr.set_defaults(func=cmd_train, command_parser=tr)
 
@@ -309,33 +290,40 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("labels")
     ev.add_argument("--config", help="JSON file with option defaults")
     ev.add_argument("--train-fraction", type=float, dest="train_fraction",
+                    default=_TRAIN_FRACTION,
                     help="fraction used to reconstruct the held-out split")
-    ev.add_argument("--seed", type=int)
+    ev.add_argument("--seed", type=int, default=TrainConfig.seed)
     ev.add_argument("--out-dir", required=True)
     ev.set_defaults(func=cmd_eval, command_parser=ev)
 
     ct = sub.add_parser("count", help="report per-layer parameter/FLOP accounting")
     ct.add_argument("--config", help="JSON file with option defaults")
-    ct.add_argument("--variant", choices=variants)
+    ct.add_argument("--variant", choices=variants, default=variant)
     ct.add_argument("--bands", type=int)
-    ct.add_argument("--patch-size", type=int, dest="patch_size")
+    ct.add_argument("--patch-size", type=int, dest="patch_size",
+                    default=ModelConfig.patch_size)
     ct.add_argument("--spatial-nodes", dest="spatial_nodes")
     ct.add_argument("--spectral-nodes", dest="spectral_nodes")
     ct.set_defaults(func=cmd_count, command_parser=ct)
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of a tiny model")
     gc.add_argument("--config", help="JSON file with option defaults")
-    gc.add_argument("--variant", choices=variants)
-    gc.add_argument("--threshold", type=float)
-    gc.add_argument("--seed", type=int)
+    gc.add_argument("--variant", choices=variants, default=variant)
+    gc.add_argument("--threshold", type=float, default=1e-4)
+    gc.add_argument("--seed", type=int, default=0)
     gc.set_defaults(func=cmd_gradcheck, command_parser=gc)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # Flags still win: the file only replaces the defaults.
+            args.command_parser.set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ContractError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

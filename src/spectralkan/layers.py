@@ -30,18 +30,16 @@ from .spline import SplineGrid, basis_derivatives, basis_values, make_grid
 KINDS = ("full", "shared", "dense")
 
 
-def silu(x: np.ndarray) -> np.ndarray:
-    return x * sigmoid(x)
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|) so
     # that exp never overflows; computed in place to keep one extra buffer.
+    # Since e <= 1, max(e, x >= 0) picks the numerator without a masked
+    # copy, whose cost would depend on the sign pattern.
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
     d = e + 1.0
-    np.copyto(e, 1.0, where=x >= 0)
+    np.maximum(e, x >= 0, out=e)
     np.divide(e, d, out=e)
     return e
 

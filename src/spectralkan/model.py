@@ -1,11 +1,12 @@
 """Model assembly: variants, spatial-spectral composition, accounting.
 
-A model is one or two stacks of layers. Spatial-spectral (SS) variants
-first run every band's flattened ``p*p`` window through the spatial stack
-(one weight set shared by all bands, band axis folded into the batch),
-compressing each band to a single value; the resulting length-``b``
-vector goes through the spectral stack to produce two logits. Flat
-variants apply a single stack to the flattened ``p*p*b`` patch.
+A model is a spatial stack followed by a spectral stack, run in one pass
+for every variant. Each band's flattened ``p*p`` window is a row (band
+axis folded into the batch) for the spatial stack, whose one weight set,
+shared by all bands, compresses it to a single value; the length-``b``
+vector goes through the spectral stack to produce two logits. A flat
+variant is one with an empty spatial stack, so its spectral stack sees
+the band-major flattened ``p*p*b`` patch.
 
 Checkpoints are single files: an 8-byte little-endian header length, a
 JSON header (config plus tensor names/shapes/offsets), then all parameter
@@ -105,16 +106,14 @@ def build_model(config: ModelConfig, seed=0) -> "Model":
     """Deterministically initialize a model for the given config and seed."""
     rng = np.random.default_rng(seed)
     kind = config.variant.layer_kind
+    spatial, nodes = [], config.flat_nodes
     if config.variant.spatial_spectral:
         # Dense stacks keep SiLU everywhere except the final logits layer.
         spatial = _build_stack(kind, config.spatial_nodes, config.grid, rng,
                                final_linear=False)
-        spectral = _build_stack(kind, config.spectral_nodes, config.grid, rng,
-                                final_linear=True)
-        return Model(config, spatial, spectral)
-    flat = _build_stack(kind, config.flat_nodes, config.grid, rng,
-                        final_linear=True)
-    return Model(config, [], flat)
+        nodes = config.spectral_nodes
+    spectral = _build_stack(kind, nodes, config.grid, rng, final_linear=True)
+    return Model(config, spatial, spectral)
 
 
 @dataclass
@@ -143,57 +142,34 @@ class Model:
         p, b = self.config.patch_size, self.config.bands
         return patches.transpose(0, 3, 1, 2).reshape(n * b, p * p)
 
-    def spatial_features(self, patches) -> np.ndarray:
-        """The per-band compressed vector fed to the spectral stack."""
-        patches = self._check_patches(patches)
-        if not self.config.variant.spatial_spectral:
-            raise ContractError("flat variants have no spatial stage")
-        n = patches.shape[0]
-        x = self._band_rows(patches)
-        for layer in self.spatial_stack:
-            x, _ = layer.forward(x)
-        return x.reshape(n, self.config.bands)
-
     def forward(self, patches) -> tuple[np.ndarray, list]:
         """Run a batch of patches to logits; also returns layer caches."""
         patches = self._check_patches(patches)
         n = patches.shape[0]
+        x = self._band_rows(patches)
         caches = []
-        if self.config.variant.spatial_spectral:
-            x = self._band_rows(patches)
-            for layer in self.spatial_stack:
-                x, cache = layer.forward(x)
-                caches.append(cache)
-            x = x.reshape(n, self.config.bands)
-        else:
-            x = self._band_rows(patches).reshape(n, -1)
-        for layer in self.spectral_stack:
+        for i, layer in enumerate(self.layers()):
+            if i == len(self.spatial_stack):
+                # (n*b, d) -> (n, b*d), width explicit so n = 0 reshapes too.
+                x = x.reshape(n, self.config.bands * x.shape[1])
             x, cache = layer.forward(x)
             caches.append(cache)
         return x, caches
 
     def backward(self, caches: list, grad_logits) -> list[np.ndarray]:
         """Gradients for every parameter tensor, in ``parameters()`` order."""
-        n_spatial = len(self.spatial_stack)
-        if len(caches) != n_spatial + len(self.spectral_stack):
+        layers = self.layers()
+        if len(caches) != len(layers):
             raise ContractError("cache list does not match the layer stacks")
         g = np.asarray(grad_logits, dtype=np.float64)
-        rev: list[list[np.ndarray]] = []
-        for layer, cache in zip(reversed(self.spectral_stack),
-                                reversed(caches[n_spatial:])):
-            g, grads = layer.backward(cache, g)
-            rev.append(grads)
-        if n_spatial:
-            n = g.shape[0]
-            g = g.reshape(n * self.config.bands, 1)
-            for layer, cache in zip(reversed(self.spatial_stack),
-                                    reversed(caches[:n_spatial])):
-                g, grads = layer.backward(cache, g)
-                rev.append(grads)
-        flat: list[np.ndarray] = []
-        for grads in reversed(rev):
-            flat.extend(grads)
-        return flat
+        grads: list[np.ndarray] = []
+        for i in reversed(range(len(layers))):
+            if i == len(self.spatial_stack) - 1:
+                # (n, b) -> (n*b, 1): back onto the spatial stack's band rows.
+                g = g.reshape(-1, 1)
+            g, layer_grads = layers[i].backward(caches[i], g)
+            grads[:0] = layer_grads
+        return grads
 
     def layers(self) -> list:
         return list(self.spatial_stack) + list(self.spectral_stack)

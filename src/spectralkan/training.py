@@ -22,6 +22,9 @@ __all__ = [
     "softmax_cross_entropy", "lr_at", "adam_step", "train", "gradient_check",
 ]
 
+# Adam's moment decay rates and denominator floor, at their usual values.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -30,9 +33,6 @@ class TrainConfig:
     base_lr: float = 1e-3
     decay_factor: float = 0.9
     decay_every: int = 10
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -40,8 +40,7 @@ class TrainConfig:
             raise ContractError("epochs must be non-negative")
         if self.batch_size < 1:
             raise ContractError("batch_size must be at least 1")
-        for name in ("base_lr", "decay_factor", "decay_every",
-                     "adam_beta1", "adam_beta2", "adam_eps"):
+        for name in ("base_lr", "decay_factor", "decay_every"):
             if getattr(self, name) <= 0:
                 raise ContractError(f"{name} must be positive")
 
@@ -80,12 +79,10 @@ def softmax_cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
 class AdamState:
     """First/second moment accumulators mirroring a parameter list."""
 
-    def __init__(self, params: list[np.ndarray], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[np.ndarray]):
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.step = 0
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
 
 
 def adam_step(state: AdamState, params: list[np.ndarray],
@@ -93,7 +90,7 @@ def adam_step(state: AdamState, params: list[np.ndarray],
     """Standard bias-corrected Adam update, applied to ``params`` in place."""
     if len(params) != len(state.m) or len(grads) != len(state.m):
         raise ContractError("parameter/gradient lists do not match the state")
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     state.step += 1
     t = state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -104,7 +101,7 @@ def adam_step(state: AdamState, params: list[np.ndarray],
         v += (1.0 - b2) * (g * g - v)
         m_hat = m / (1.0 - b1 ** t)
         v_hat = v / (1.0 - b2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -135,8 +132,7 @@ def train(model: Model, dataset, config: TrainConfig) -> tuple[Model, TrainHisto
     if n == 0:
         raise ContractError("training set is empty")
     params = model.parameters()
-    state = AdamState(params, config.adam_beta1, config.adam_beta2,
-                      config.adam_eps)
+    state = AdamState(params)
     rng = np.random.default_rng(config.seed)
     history = TrainHistory()
     for epoch in range(config.epochs):

@@ -59,15 +59,16 @@ class TestSynth:
 
 class TestDefaults:
     def test_training_defaults_match_protocol(self):
-        from spectralkan.cli import _TRAIN_DEFAULTS
-        assert _TRAIN_DEFAULTS["epochs"] == 200
-        assert _TRAIN_DEFAULTS["batch_size"] == 64
-        assert _TRAIN_DEFAULTS["lr"] == 0.001
-        assert _TRAIN_DEFAULTS["decay_factor"] == 0.9
-        assert _TRAIN_DEFAULTS["decay_every"] == 10
-        assert _TRAIN_DEFAULTS["patch_size"] == 5
-        assert _TRAIN_DEFAULTS["train_fraction"] == 0.01
-        assert _TRAIN_DEFAULTS["variant"] == "spectral-kan"
+        args = build_parser().parse_args(["train", "a", "b", "c",
+                                          "--out-dir", "d"])
+        assert args.epochs == 200
+        assert args.batch_size == 64
+        assert args.lr == 0.001
+        assert args.decay_factor == 0.9
+        assert args.decay_every == 10
+        assert args.patch_size == 5
+        assert args.train_fraction == 0.01
+        assert args.variant == "spectral-kan"
 
     def test_parser_accepts_all_documented_flags(self):
         parser = build_parser()

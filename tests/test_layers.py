@@ -86,7 +86,7 @@ def two_branch_sigmoid(x):
 
 class TestSigmoid:
     def test_bitwise_equal_to_two_branch_formula(self):
-        edges = np.array([0.0, 1e-300, 40.0, 710.0, 800.0])
+        edges = np.array([0.0, 5e-324, 1e-300, 40.0, 710.0, 745.0, 800.0])
         x = np.concatenate([edges, -edges,
                             np.random.default_rng(6).normal(0, 20, 1000)])
         assert np.array_equal(sigmoid(x).view(np.uint64),

@@ -80,7 +80,8 @@ class TestForward:
         logits, _ = model.forward(batch)
         assert np.all(logits == logits[0])
 
-    @pytest.mark.parametrize("variant", [Variant.SPECTRAL_KAN, Variant.MLP_SS])
+    @pytest.mark.parametrize("variant", [Variant.SPECTRAL_KAN, Variant.MLP_SS,
+                                         Variant.KAN_SS])
     def test_matches_scalar_composition_oracle(self, variant):
         config = ModelConfig(variant=variant, patch_size=3, bands=2,
                              spatial_nodes=[9, 2, 1], spectral_nodes=[2, 2, 2])
@@ -90,7 +91,8 @@ class TestForward:
         expected = eval_model_scalar(model, patch)
         assert np.abs(logits[0] - expected).max() <= 1e-9
 
-    @pytest.mark.parametrize("variant", [Variant.KAN, Variant.MLP])
+    @pytest.mark.parametrize("variant", [Variant.KAN, Variant.MLP,
+                                         Variant.KAN_ENC])
     def test_flat_variants_match_oracle(self, variant):
         config = tiny_config(variant)
         model = build_model(config, seed=8)
@@ -100,13 +102,23 @@ class TestForward:
         assert np.abs(logits[0] - expected).max() <= 1e-9
 
     def test_band_permutation_equivariance(self):
-        model = build_model(tiny_config(Variant.SPECTRAL_KAN), seed=2)
         rng = np.random.default_rng(3)
         patches = rng.uniform(-1, 1, (4, 3, 3, 4))
         perm = rng.permutation(4)
-        z = model.spatial_features(patches)
-        z_perm = model.spatial_features(patches[..., perm])
-        assert np.abs(z_perm - z[:, perm]).max() <= 1e-12
+        for variant in (Variant.SPECTRAL_KAN, Variant.MLP_SS, Variant.KAN_SS):
+            model = build_model(tiny_config(variant), seed=2)
+            # The spectral stack's first cache holds the per-band features.
+            z, z_perm = (model.forward(x)[1][len(model.spatial_stack)].inputs
+                         for x in (patches, patches[..., perm]))
+            assert np.abs(z_perm - z[:, perm]).max() <= 1e-12, variant
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_empty_batch_gives_no_logits(self, variant):
+        model = build_model(tiny_config(variant), seed=0)
+        logits, caches = model.forward(np.zeros((0, 3, 3, 4)))
+        assert logits.shape == (0, 2)
+        grads = model.backward(caches, logits)
+        assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
 
     def test_argmax_invariant_to_logit_scaling(self):
         model = build_model(tiny_config(Variant.SPECTRAL_KAN), seed=4)
@@ -129,6 +141,13 @@ class TestForward:
         bad[0, 0, 0, 0] = np.nan
         with pytest.raises(DomainError):
             model.forward(bad)
+
+    @pytest.mark.parametrize("variant", [Variant.KAN, Variant.SPECTRAL_KAN])
+    def test_backward_rejects_short_cache_list(self, variant):
+        model = build_model(tiny_config(variant), seed=0)
+        logits, caches = model.forward(np.zeros((2, 3, 3, 4)))
+        with pytest.raises(ContractError):
+            model.backward(caches[:-1], logits)
 
 
 class TestAccounting:

@@ -7,7 +7,7 @@ PUBLIC = [
     "extract_patches", "load_cube", "load_labels", "normalize", "patch_set",
     "save_cube", "save_labels", "stratified_split", "synth_dataset",
     "ContractError", "DataError", "DomainError", "UndefinedMetricError",
-    "DenseLayer", "FullKanLayer", "SharedKanLayer", "init_params", "silu",
+    "DenseLayer", "FullKanLayer", "SharedKanLayer", "init_params",
     "ConfusionMatrix", "kappa", "overall_accuracy", "report", "tally",
     "Model", "ModelConfig", "Variant", "build_model", "load_checkpoint",
     "save_checkpoint",
