@@ -210,12 +210,13 @@ def cmd_count(args) -> int:
                 "d_in": layer.d_in, "d_out": layer.d_out,
                 "params": layer.param_count(), "flops": layer.flop_count(),
             })
+    spatial_nodes, spectral_nodes = config.stack_nodes
     payload = {
         "variant": config.variant.value,
         "patch_size": config.patch_size,
         "bands": config.bands,
-        "spatial_nodes": config.spatial_nodes if config.variant.spatial_spectral else [],
-        "spectral_nodes": config.spectral_nodes if config.variant.spatial_spectral else config.flat_nodes,
+        "spatial_nodes": spatial_nodes,
+        "spectral_nodes": spectral_nodes,
         "per_layer": per_layer,
         "total_params": model.total_params(),
         "total_flops": model.total_flops(),

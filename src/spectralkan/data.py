@@ -301,12 +301,11 @@ def load_cube(header_path) -> HsiCube:
         raise DimensionOverflowError(
             f"{header_path}: {h}x{w}x{b} exceeds the supported size")
     payload_path = header_path.parent / str(header["payload"])
-    blob = payload_path.read_bytes()
-    expected = h * w * b * 4
-    if len(blob) != expected:
+    expected, found = h * w * b * 4, payload_path.stat().st_size
+    if found != expected:
         raise TruncatedPayloadError(
-            f"{payload_path}: expected {expected} bytes, found {len(blob)}")
-    values = np.frombuffer(blob, dtype="<f4").reshape(h, w, b)
+            f"{payload_path}: expected {expected} bytes, found {found}")
+    values = np.frombuffer(payload_path.read_bytes(), dtype="<f4").reshape(h, w, b)
     if not np.all(np.isfinite(values)):
         raise DataError(f"{payload_path}: payload contains non-finite values")
     return HsiCube(values.copy())

@@ -8,9 +8,13 @@ vector goes through the spectral stack to produce two logits. A flat
 variant is one with an empty spatial stack, so its spectral stack sees
 the band-major flattened ``p*p*b`` patch.
 
-Checkpoints are single files: an 8-byte little-endian header length, a
-JSON header (config plus tensor names/shapes/offsets), then all parameter
-tensors as little-endian float64. Round-trips are bit-exact.
+Checkpoints are single files: the magic ``SKAN0001``, an 8-byte
+little-endian header length, a JSON header (config plus tensor
+names/shapes/offsets), then all parameter tensors as little-endian float64,
+back to back in layer order. The config alone determines the rest of the
+header, so a checkpoint loads only if its header equals the one its config
+gives and its payload holds exactly the bytes that header declares.
+Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -87,8 +91,11 @@ class ModelConfig:
         self.spatial_nodes, self.spectral_nodes = sp, sc
 
     @property
-    def flat_nodes(self) -> list[int]:
-        return [self.patch_size ** 2 * self.bands] + self.spectral_nodes[1:]
+    def stack_nodes(self) -> tuple[list[int], list[int]]:
+        """Node lists of the spatial and spectral stacks a model builds."""
+        if self.variant.spatial_spectral:
+            return self.spatial_nodes, self.spectral_nodes
+        return [], [self.patch_size ** 2 * self.bands] + self.spectral_nodes[1:]
 
 
 def _build_stack(kind: str, nodes: list[int], grid: SplineGrid, rng,
@@ -106,13 +113,12 @@ def build_model(config: ModelConfig, seed=0) -> "Model":
     """Deterministically initialize a model for the given config and seed."""
     rng = np.random.default_rng(seed)
     kind = config.variant.layer_kind
-    spatial, nodes = [], config.flat_nodes
-    if config.variant.spatial_spectral:
-        # Dense stacks keep SiLU everywhere except the final logits layer.
-        spatial = _build_stack(kind, config.spatial_nodes, config.grid, rng,
-                               final_linear=False)
-        nodes = config.spectral_nodes
-    spectral = _build_stack(kind, nodes, config.grid, rng, final_linear=True)
+    spatial_nodes, spectral_nodes = config.stack_nodes
+    # Dense stacks keep SiLU everywhere except the final logits layer.
+    spatial = _build_stack(kind, spatial_nodes, config.grid, rng,
+                           final_linear=False)
+    spectral = _build_stack(kind, spectral_nodes, config.grid, rng,
+                            final_linear=True)
     return Model(config, spatial, spectral)
 
 
@@ -194,14 +200,6 @@ class Model:
         return self.config.bands * spatial + spectral
 
 
-def _tensor_entries(model: Model):
-    for stack_name, stack in (("spatial", model.spatial_stack),
-                              ("spectral", model.spectral_stack)):
-        for i, layer in enumerate(stack):
-            for name, arr in zip(layer.param_names(), layer.params()):
-                yield f"{stack_name}.{i}.{name}", arr
-
-
 def _config_dict(config: ModelConfig) -> dict:
     return {
         "variant": config.variant.value,
@@ -217,43 +215,32 @@ def _config_dict(config: ModelConfig) -> dict:
     }
 
 
-def _config_from_dict(d: dict) -> ModelConfig:
-    try:
-        spline = d["spline"]
-        grid = make_grid(int(spline["degree"]), int(spline["grid_size"]),
-                         float(spline["domain"][0]), float(spline["domain"][1]))
-        return ModelConfig(
-            variant=Variant(d["variant"]),
-            patch_size=int(d["patch_size"]),
-            bands=int(d["bands"]),
-            spatial_nodes=[int(v) for v in d["spatial_nodes"]],
-            spectral_nodes=[int(v) for v in d["spectral_nodes"]],
-            grid=grid,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedHeaderError(f"invalid checkpoint config: {exc}") from exc
+def _header(model: Model) -> tuple[dict, list[np.ndarray]]:
+    """The header :func:`save_checkpoint` writes, and the tensors in payload order."""
+    table, tensors, offset = {}, [], 0
+    for stack_name, stack in (("spatial", model.spatial_stack),
+                              ("spectral", model.spectral_stack)):
+        for i, layer in enumerate(stack):
+            for name, arr in zip(layer.param_names(), layer.params()):
+                table[f"{stack_name}.{i}.{name}"] = {
+                    "shape": list(arr.shape), "offset": offset,
+                    "nbytes": arr.nbytes}
+                tensors.append(arr)
+                offset += arr.nbytes
+    return {"config": _config_dict(model.config), "dtype": "f8le",
+            "tensors": table}, tensors
 
 
 def save_checkpoint(model: Model, path) -> None:
     """Write the model to a single self-describing file."""
-    tensors = {}
-    offset = 0
-    payload = []
-    for name, arr in _tensor_entries(model):
-        data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        tensors[name] = {"shape": list(arr.shape), "offset": offset,
-                         "nbytes": len(data)}
-        payload.append(data)
-        offset += len(data)
-    header = json.dumps({"config": _config_dict(model.config),
-                         "dtype": "f8le", "tensors": tensors},
-                        sort_keys=True, separators=(",", ":")).encode()
+    header, tensors = _header(model)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for chunk in payload:
-            fh.write(chunk)
+        fh.write(struct.pack("<Q", len(text)))
+        fh.write(text)
+        for arr in tensors:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> Model:
@@ -267,38 +254,41 @@ def load_checkpoint(path) -> Model:
         raise TruncatedPayloadError(f"{path}: header extends past end of file")
     try:
         header = json.loads(blob[start:start + hlen].decode())
-        tensors, config = header["tensors"], header["config"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise MalformedHeaderError(f"{path}: unreadable header: {exc}") from exc
-    if not isinstance(tensors, dict):
-        raise MalformedHeaderError(f"{path}: tensor table is not an object")
-    try:
-        model = build_model(_config_from_dict(config), seed=0)
-    except ContractError as exc:
-        raise MalformedHeaderError(f"{path}: {exc}") from exc
-    body = blob[start + hlen:]
-    seen = set()
-    for name, arr in _tensor_entries(model):
-        try:
-            entry = tensors[name]
-            shape, off, nbytes = entry["shape"], entry["offset"], entry["nbytes"]
-        except (KeyError, TypeError) as exc:
-            raise MalformedHeaderError(f"{path}: missing tensor {name!r}") from exc
-        if not isinstance(shape, list) or tuple(shape) != arr.shape:
-            raise MalformedHeaderError(
-                f"{path}: tensor {name!r} has shape {shape}, expected {list(arr.shape)}")
-        if type(off) is not int or type(nbytes) is not int or off < 0 \
-                or nbytes != arr.nbytes:
-            raise MalformedHeaderError(
-                f"{path}: tensor {name!r} has offset {off!r} and {nbytes!r} "
-                f"bytes, expected an offset >= 0 and {arr.nbytes} bytes")
-        if off + nbytes > len(body):
-            raise TruncatedPayloadError(f"{path}: payload truncated at {name!r}")
-        arr[...] = np.frombuffer(body[off:off + nbytes], dtype="<f8").reshape(arr.shape)
+        d = header["config"]
+        spline = d["spline"]
+        grid = make_grid(int(spline["degree"]), int(spline["grid_size"]),
+                         float(spline["domain"][0]), float(spline["domain"][1]))
+        config = ModelConfig(
+            variant=Variant(d["variant"]),
+            patch_size=int(d["patch_size"]),
+            bands=int(d["bands"]),
+            spatial_nodes=[int(v) for v in d["spatial_nodes"]],
+            spectral_nodes=[int(v) for v in d["spectral_nodes"]],
+            grid=grid,
+        )
+        # Every layer kind stores at least one float64 per edge, so this
+        # bounds the model by the file's size before any of it is allocated.
+        edges = sum(a * b for nodes in config.stack_nodes
+                    for a, b in zip(nodes, nodes[1:]))
+        if edges > len(blob) // 8:
+            raise ContractError(
+                f"{edges} edges do not fit in a file of {len(blob)} bytes")
+        model = build_model(config, seed=0)
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        raise MalformedHeaderError(f"{path}: invalid checkpoint header: {exc}") from exc
+    expected, tensors = _header(model)
+    if header != expected:
+        keys = sorted(k for k in set(header) | set(expected)
+                      if header.get(k) != expected.get(k))
+        raise MalformedHeaderError(
+            f"{path}: header differs from the one its config gives at {keys}")
+    body, nbytes = blob[start + hlen:], sum(arr.nbytes for arr in tensors)
+    if len(body) != nbytes:
+        raise TruncatedPayloadError(
+            f"{path}: payload holds {len(body)} bytes, expected {nbytes}")
+    for (name, entry), arr in zip(expected["tensors"].items(), tensors):
+        arr[...] = np.frombuffer(body, "<f8", arr.size,
+                                 entry["offset"]).reshape(arr.shape)
         if not np.all(np.isfinite(arr)):
             raise DataError(f"{path}: tensor {name!r} holds non-finite values")
-        seen.add(name)
-    extra = set(tensors) - seen
-    if extra:
-        raise MalformedHeaderError(f"{path}: unexpected tensors {sorted(extra)}")
     return model

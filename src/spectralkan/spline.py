@@ -24,12 +24,15 @@ import numpy as np
 from .errors import ContractError, DomainError
 
 
+_MAX_KNOTS = 4096  # far above any grid in use; bounds what a header can ask for
+
+
 @dataclass(frozen=True)
 class SplineGrid:
     """Degree, span count and domain of the shared basis.
 
-    ``knots`` has ``grid_size + 2*degree + 1`` strictly increasing entries
-    with uniform spacing ``(hi - lo) / grid_size``.
+    ``knots`` has ``grid_size + 2*degree + 1`` strictly increasing entries,
+    at most ``_MAX_KNOTS``, with uniform spacing ``(hi - lo) / grid_size``.
     """
 
     degree: int
@@ -50,6 +53,8 @@ def make_grid(degree: int = 3, grid_size: int = 5,
         raise ContractError(f"degree must be non-negative, got {degree}")
     if grid_size < 1:
         raise ContractError(f"grid_size must be positive, got {grid_size}")
+    if grid_size + 2 * degree + 1 > _MAX_KNOTS:
+        raise ContractError(f"grid_size + 2*degree + 1 exceeds {_MAX_KNOTS} knots")
     if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
         raise ContractError(f"invalid domain [{lo}, {hi}]")
     idx = np.arange(-degree, grid_size + degree + 1, dtype=np.float64)

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from spectralkan import (LabelMap, Variant, build_model, load_checkpoint,
                          load_labels, make_grid, ModelConfig, save_checkpoint)
 from spectralkan.cli import build_parser, main
 from spectralkan.data import save_labels
-from spectralkan.errors import DataError
+from spectralkan.errors import DataError, MalformedHeaderError
 
 
 SYNTH_ARGS = ["synth", "--height", "24", "--width", "24", "--bands", "8",
@@ -206,12 +207,13 @@ class TestErrorPaths:
         assert main(args) == 3
 
 
-def corrupt_checkpoint(path, how):
+def corrupt_checkpoint(path, how, value=None):
     """Rewrite one field of a saved checkpoint, keeping the rest intact."""
     blob = path.read_bytes()
     (hlen,) = struct.unpack_from("<Q", blob, 8)
     header, body = json.loads(blob[16:16 + hlen]), bytearray(blob[16 + hlen:])
     entry = next(e for e in header["tensors"].values() if e["offset"] == 0)
+    second = sorted(header["tensors"].values(), key=lambda e: e["offset"])[1]
     if how == "nbytes-8-short":
         entry["nbytes"] -= 8
     elif how == "nbytes-3-short":
@@ -224,24 +226,67 @@ def corrupt_checkpoint(path, how):
         header = [header]
     elif how == "nan-payload":
         body[:8] = struct.pack("<d", float("nan"))
+    elif how == "first-offset-plus-8":
+        entry["offset"] += 8
+    elif how == "second-offset-is-first":
+        second["offset"] = entry["offset"]
+    elif how == "trailing-bytes":
+        body += bytes(64)
+    elif how == "dtype-f4le":
+        header["dtype"] = "f4le"
+    elif how == "fractional-degree":
+        header["config"]["spline"]["degree"] = 3.7
+    elif how == "unknown-key":
+        header["comment"] = "unexpected"
+    elif how == "huge-degree":
+        header["config"]["spline"]["degree"] = value
+    elif how == "wide-spectral":
+        header["config"]["spectral_nodes"][1] = value
     text = json.dumps(header).encode()
     path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + body)
 
 
 class TestCorruptCheckpoint:
-    @pytest.mark.parametrize("how", [
-        "nbytes-8-short", "nbytes-3-short", "string-offset", "negative-offset",
-        "list-header", "nan-payload",
-    ])
-    def test_rejected_as_data_error(self, dataset, tmp_path, how):
-        config = ModelConfig(variant=Variant.SPECTRAL_KAN, patch_size=5,
+    @staticmethod
+    def saved(tmp_path, variant=Variant.SPECTRAL_KAN):
+        config = ModelConfig(variant=variant, patch_size=5,
                              bands=8, spatial_nodes=[25, 16, 1],
                              spectral_nodes=[8, 16, 2], grid=make_grid())
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(build_model(config, seed=1), ckpt)
+        return ckpt
+
+    @pytest.mark.parametrize("how", [
+        "nbytes-8-short", "nbytes-3-short", "string-offset", "negative-offset",
+        "list-header", "nan-payload", "first-offset-plus-8",
+        "second-offset-is-first", "trailing-bytes", "dtype-f4le",
+        "fractional-degree", "unknown-key",
+    ])
+    def test_rejected_as_data_error(self, dataset, tmp_path, how):
+        ckpt = self.saved(tmp_path)
         corrupt_checkpoint(ckpt, how)
         with pytest.raises(DataError):
             load_checkpoint(ckpt)
+        assert main(eval_args(dataset, ckpt, tmp_path / "ev")) == 3
+
+    @pytest.mark.parametrize("variant,how,value", [
+        (Variant.MLP_SS, "huge-degree", 10 ** 5),
+        (Variant.MLP_SS, "huge-degree", 10 ** 6),
+        (Variant.MLP_SS, "huge-degree", 10 ** 7),
+        (Variant.SPECTRAL_KAN, "wide-spectral", 200_000),
+    ])
+    def test_oversized_config_rejected_before_allocating(
+            self, dataset, tmp_path, variant, how, value):
+        ckpt = self.saved(tmp_path, variant)
+        corrupt_checkpoint(ckpt, how, value)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedHeaderError):
+                load_checkpoint(ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
         assert main(eval_args(dataset, ckpt, tmp_path / "ev")) == 3
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,20 @@ class TestCubeFiles:
         raw.write_bytes(raw.read_bytes()[:-8])
         with pytest.raises(TruncatedPayloadError):
             load_cube(tmp_path / "c.json")
+
+    def test_oversized_payload_rejected_before_reading(self, tmp_path):
+        save_cube(random_cube(2, 2, 2), tmp_path / "c.json")
+        with open(tmp_path / "c.raw", "wb") as fh:
+            fh.truncate(64 << 20)  # sparse: no data is written
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedPayloadError,
+                               match="expected 32 bytes, found 67108864"):
+                load_cube(tmp_path / "c.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_zero_dims_rejected(self, tmp_path):
         save_cube(random_cube(2, 2, 2), tmp_path / "c.json")

@@ -1,10 +1,15 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectralkan import (DenseLayer, FullKanLayer, Model, ModelConfig,
                          SharedKanLayer, Variant, build_model,
                          load_checkpoint, save_checkpoint)
-from spectralkan.errors import (ContractError, DomainError,
+from spectralkan.errors import (ContractError, DataError, DomainError,
                                 MalformedHeaderError, TruncatedPayloadError)
 
 from oracles import eval_model_scalar
@@ -240,3 +245,62 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(MalformedHeaderError):
             load_checkpoint(path)
+
+
+def scalar_paths(node, path=()):
+    """Key/index paths of every scalar in a parsed JSON header."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [p for key, child in items for p in scalar_paths(child, path + (key,))]
+
+
+def config_fields(config):
+    """A model config in the layout of a checkpoint header's ``config``."""
+    return {"variant": config.variant.value, "patch_size": config.patch_size,
+            "bands": config.bands, "spatial_nodes": config.spatial_nodes,
+            "spectral_nodes": config.spectral_nodes,
+            "spline": {"degree": config.grid.degree,
+                       "grid_size": config.grid.grid_size,
+                       "domain": [config.grid.lo, config.grid.hi]}}
+
+
+class TestCheckpointHeaderEdits:
+    """Any one scalar of a saved header replaced by any JSON scalar."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        save_checkpoint(build_model(config_d(bands=8), seed=5), path)
+        return path
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), value=st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+        st.sampled_from([10 ** 9, 2 ** 63, 10 ** 400, -(10 ** 400)])))
+    def test_load_is_rejected_or_unchanged(self, saved, data, value):
+        blob = saved.read_bytes()
+        (hlen,) = struct.unpack_from("<Q", blob, 8)
+        header, body = json.loads(blob[16:16 + hlen]), blob[16 + hlen:]
+        where = data.draw(st.sampled_from(scalar_paths(header)))
+        edited = json.loads(json.dumps(header))
+        node = edited
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        text = json.dumps(edited).encode()
+        ckpt = saved.with_name("edited.ckpt")
+        ckpt.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + body)
+        try:
+            loaded = load_checkpoint(ckpt)
+        except DataError:
+            return
+        assert b"".join(a.astype("<f8").tobytes() for a in loaded.parameters()) == body
+        # The spline domain shapes no tensor, so only a checksum could
+        # catch an edit there; every other scalar must read back as saved.
+        assert config_fields(loaded.config) == edited["config"]
+        if where[:3] != ("config", "spline", "domain"):
+            assert config_fields(loaded.config) == header["config"]

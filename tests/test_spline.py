@@ -35,10 +35,16 @@ class TestGridConstruction:
         (3, 5, 0.0, 0.0),
         (3, 5, -1e308, 1e308),
         (3, 5, -8e307, 8e307),
+        (2045, 6, -1.0, 1.0),
+        (10 ** 6, 5, -1.0, 1.0),
+        (3, 10 ** 6, -1.0, 1.0),
     ])
     def test_rejects_bad_settings(self, degree, grid_size, lo, hi):
         with pytest.raises(ContractError):
             make_grid(degree, grid_size, lo, hi)
+
+    def test_knot_count_cap_is_inclusive(self):
+        assert make_grid(2045, 5).knots.size == 4096
 
 
 class TestBasisValues:
