@@ -29,6 +29,9 @@ CHECK_FAILED = 4
 # Share of each class trained on; eval rebuilds the same held-out split.
 _TRAIN_FRACTION = 0.01
 
+# Float64 values (2 MiB) that one prediction batch may build in any layer.
+_BATCH_VALUES = 2 ** 18
+
 
 def _parse_nodes(value) -> list[int] | None:
     if value is None:
@@ -50,7 +53,7 @@ def _config_defaults(args: argparse.Namespace) -> dict:
     config_path = args.config
     try:
         values = json.loads(Path(config_path).read_text())
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:
         raise ContractError(f"{config_path}: invalid JSON: {exc}") from exc
     if not isinstance(values, dict):
         raise ContractError(f"{config_path}: config must be a JSON object")
@@ -100,17 +103,35 @@ def _load_pair(args) -> tuple[HsiCube, HsiCube, LabelMap]:
     return x1, x2, labels
 
 
-def predict_at(model: Model, cube: HsiCube, coords: np.ndarray,
-               batch_size: int = 512) -> np.ndarray:
-    """Predicted class for each coordinate, extracted and run in batches."""
+def _batch_size(model: Model) -> int:
+    """Patches per prediction batch, so that no layer builds more than
+    ``_BATCH_VALUES`` float64 values for one batch.
+
+    A KAN layer's widest array is its basis tensor, ``d_in * basis_count``
+    values per row; a dense layer's is its input or output. The spatial
+    stack runs one row per band, the spectral stack one per patch.
+    """
+    widest = 0
+    for rows, stack in ((model.config.bands, model.spatial_stack),
+                        (1, model.spectral_stack)):
+        for layer in stack:
+            width = (max(layer.d_in, layer.d_out) if layer.kind == "dense"
+                     else layer.d_in * layer.grid.basis_count)
+            widest = max(widest, rows * width)
+    return max(1, _BATCH_VALUES // widest)
+
+
+def predict_at(model: Model, cube: HsiCube, coords: np.ndarray) -> np.ndarray:
+    """Predicted class for each coordinate, extracted and run in batches
+    small enough for every layer's arrays to stay in cache."""
     p = model.config.patch_size
     coords = np.asarray(coords)
+    batch = _batch_size(model)
     out = np.empty(len(coords), dtype=np.uint8)
-    for start in range(0, len(coords), batch_size):
-        chunk = coords[start:start + batch_size]
-        patches = extract_patches(cube, chunk, p).astype(np.float64)
-        logits, _ = model.forward(patches)
-        out[start:start + batch_size] = np.argmax(logits, axis=1)
+    for start in range(0, len(coords), batch):
+        patches = extract_patches(cube, coords[start:start + batch], p)
+        logits, _ = model.forward(patches, keep=False)
+        out[start:start + batch] = np.argmax(logits, axis=1)
     return out
 
 

@@ -278,7 +278,7 @@ def load_cube(header_path) -> HsiCube:
     header_path = Path(header_path)
     try:
         header = json.loads(header_path.read_text())
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:
         raise MalformedHeaderError(f"{header_path}: invalid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise MalformedHeaderError(f"{header_path}: header is not an object")
@@ -291,21 +291,26 @@ def load_cube(header_path) -> HsiCube:
     if header["order"] != "band-interleaved-by-pixel":
         raise MalformedHeaderError(
             f"{header_path}: unsupported order {header['order']!r}")
-    try:
-        h, w, b = (int(header[k]) for k in ("height", "width", "bands"))
-    except (TypeError, ValueError) as exc:
-        raise MalformedHeaderError(f"{header_path}: non-integer dims") from exc
+    h, w, b = (header[k] for k in ("height", "width", "bands"))
+    if not all(type(v) is int for v in (h, w, b)):
+        raise MalformedHeaderError(f"{header_path}: non-integer dims")
     if h < 1 or w < 1 or b < 1:
         raise DimensionOverflowError(f"{header_path}: non-positive dimensions")
     if h * w * b > _MAX_ELEMENTS:
         raise DimensionOverflowError(
             f"{header_path}: {h}x{w}x{b} exceeds the supported size")
     payload_path = header_path.parent / str(header["payload"])
-    expected, found = h * w * b * 4, payload_path.stat().st_size
-    if found != expected:
-        raise TruncatedPayloadError(
-            f"{payload_path}: expected {expected} bytes, found {found}")
-    values = np.frombuffer(payload_path.read_bytes(), dtype="<f4").reshape(h, w, b)
+    expected = h * w * b * 4
+    try:
+        found = payload_path.stat().st_size
+        if found != expected:
+            raise TruncatedPayloadError(
+                f"{payload_path}: expected {expected} bytes, found {found}")
+        blob = payload_path.read_bytes()
+    except (OSError, ValueError) as exc:
+        # A payload name that is missing, a directory or holds a NUL byte.
+        raise DataError(f"{payload_path}: cannot read payload: {exc}") from exc
+    values = np.frombuffer(blob, dtype="<f4").reshape(h, w, b)
     if not np.all(np.isfinite(values)):
         raise DataError(f"{payload_path}: payload contains non-finite values")
     return HsiCube(values.copy())

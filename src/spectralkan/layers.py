@@ -12,9 +12,11 @@ Three layer kinds:
 
 Forward returns ``(outputs, cache)``; ``backward`` consumes the cache and
 an upstream gradient and returns the input gradient plus one gradient per
-parameter tensor, in ``params()`` order. Parameter and FLOP counts follow
-a fixed cost convention: SiLU costs 4, a spline evaluation 96, and each
-weight multiplication 1, per scalar input element.
+parameter tensor, in ``params()`` order. ``forward(x, keep=False)`` returns
+``(outputs, None)`` and keeps nothing for a backward pass, so prediction
+frees each layer's intermediates as soon as the layer is done. Parameter
+and FLOP counts follow a fixed cost convention: SiLU costs 4, a spline
+evaluation 96, and each weight multiplication 1, per scalar input element.
 """
 
 from __future__ import annotations
@@ -114,13 +116,16 @@ class FullKanLayer:
     def flop_count(self) -> int:
         return 102 * self.d_in * self.d_out
 
-    def forward(self, inputs) -> tuple[np.ndarray, LayerCache]:
+    def forward(self, inputs, keep: bool = True
+                ) -> tuple[np.ndarray, Optional[LayerCache]]:
         x = _check_inputs(self, inputs)
         sig = sigmoid(x)
         act = x * sig
         basis = basis_values(self.grid, x)  # (batch, d_in, S)
         weighted = self.spline_scale[..., None] * self.spline_coeff
         out = act @ self.base_weight.T + np.einsum("nit,jit->nj", basis, weighted)
+        if not keep:
+            return out, None
         return out, LayerCache(self, x, sig=sig, act=act, basis=basis)
 
     def backward(self, cache: LayerCache, grad_out):
@@ -168,16 +173,18 @@ class SharedKanLayer:
     def flop_count(self) -> int:
         return 100 * self.d_in + 2 * self.d_in * self.d_out
 
-    def forward(self, inputs) -> tuple[np.ndarray, LayerCache]:
+    def forward(self, inputs, keep: bool = True
+                ) -> tuple[np.ndarray, Optional[LayerCache]]:
         x = _check_inputs(self, inputs)
         sig = sigmoid(x)
         act = x * sig
         basis = basis_values(self.grid, x)
         spline_vals = np.einsum("nit,it->ni", basis, self.spline_coeff)
         out = act @ self.base_weight.T + spline_vals @ self.spline_scale.T
-        cache = LayerCache(self, x, sig=sig, act=act, basis=basis,
-                           spline_vals=spline_vals)
-        return out, cache
+        if not keep:
+            return out, None
+        return out, LayerCache(self, x, sig=sig, act=act, basis=basis,
+                               spline_vals=spline_vals)
 
     def backward(self, cache: LayerCache, grad_out):
         g = _check_cache(self, cache, grad_out)
@@ -219,14 +226,18 @@ class DenseLayer:
     def flop_count(self) -> int:
         return 2 * self.d_in * self.d_out + self.d_out
 
-    def forward(self, inputs) -> tuple[np.ndarray, LayerCache]:
+    def forward(self, inputs, keep: bool = True
+                ) -> tuple[np.ndarray, Optional[LayerCache]]:
         x = _check_inputs(self, inputs)
-        z = x @ self.weight.T + self.bias
-        cache = LayerCache(self, x, pre_act=z)
-        if self.activate:
-            cache.sig = sigmoid(z)
-            return z * cache.sig, cache
-        return z, cache
+        z = x @ self.weight.T
+        z += self.bias
+        if not self.activate:
+            return z, LayerCache(self, x, pre_act=z) if keep else None
+        sig = sigmoid(z)
+        if not keep:
+            z *= sig
+            return z, None
+        return z * sig, LayerCache(self, x, sig=sig, pre_act=z)
 
     def backward(self, cache: LayerCache, grad_out):
         g = _check_cache(self, cache, grad_out)

@@ -135,7 +135,7 @@ class Model:
     spectral_stack: list
 
     def _check_patches(self, patches) -> np.ndarray:
-        patches = np.asarray(patches, dtype=np.float64)
+        patches = np.asarray(patches)
         p, b = self.config.patch_size, self.config.bands
         if patches.ndim != 4 or patches.shape[1:] != (p, p, b):
             raise ContractError(
@@ -143,13 +143,20 @@ class Model:
         return patches
 
     def _band_rows(self, patches: np.ndarray) -> np.ndarray:
-        # (n, p, p, b) -> (n*b, p*p): band-major rows of flattened windows.
+        # (n, p, p, b) -> (n*b, p*p): band-major rows of flattened windows,
+        # cast to float64 in the same pass as the transpose copy.
         n = patches.shape[0]
         p, b = self.config.patch_size, self.config.bands
-        return patches.transpose(0, 3, 1, 2).reshape(n * b, p * p)
+        rows = np.ascontiguousarray(patches.transpose(0, 3, 1, 2), dtype=np.float64)
+        return rows.reshape(n * b, p * p)
 
-    def forward(self, patches) -> tuple[np.ndarray, list]:
-        """Run a batch of patches to logits; also returns layer caches."""
+    def forward(self, patches, keep: bool = True) -> tuple[np.ndarray, list]:
+        """Run a batch of patches to logits; also returns layer caches.
+
+        With ``keep=False`` no layer keeps its intermediates and the cache
+        list is empty, so each layer's arrays are freed once the next one
+        has run; ``backward`` rejects that empty list.
+        """
         patches = self._check_patches(patches)
         n = patches.shape[0]
         x = self._band_rows(patches)
@@ -158,8 +165,9 @@ class Model:
             if i == len(self.spatial_stack):
                 # (n*b, d) -> (n, b*d), width explicit so n = 0 reshapes too.
                 x = x.reshape(n, self.config.bands * x.shape[1])
-            x, cache = layer.forward(x)
-            caches.append(cache)
+            x, cache = layer.forward(x, keep)
+            if keep:
+                caches.append(cache)
         return x, caches
 
     def backward(self, caches: list, grad_logits) -> list[np.ndarray]:
@@ -274,7 +282,8 @@ def load_checkpoint(path) -> Model:
             raise ContractError(
                 f"{edges} edges do not fit in a file of {len(blob)} bytes")
         model = build_model(config, seed=0)
-    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+    except (ArithmeticError, LookupError, RecursionError, TypeError,
+            ValueError) as exc:
         raise MalformedHeaderError(f"{path}: invalid checkpoint header: {exc}") from exc
     expected, tensors = _header(model)
     if header != expected:

@@ -170,7 +170,7 @@ def gradient_check(model: Model, patches, labels, step: float = 1e-6) -> float:
     grads = model.backward(caches, grad_logits)
 
     def loss_at() -> float:
-        lg, _ = model.forward(patches)
+        lg, _ = model.forward(patches, keep=False)
         return softmax_cross_entropy(lg, labels)[0]
 
     worst = 0.0

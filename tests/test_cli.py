@@ -5,9 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spectralkan import (LabelMap, Variant, build_model, load_checkpoint,
-                         load_labels, make_grid, ModelConfig, save_checkpoint)
-from spectralkan.cli import build_parser, main
+from spectralkan import (LabelMap, Variant, build_model, difference,
+                         extract_patches, load_checkpoint, load_labels,
+                         make_grid, ModelConfig, normalize, save_checkpoint,
+                         synth_dataset)
+from spectralkan.cli import _batch_size, build_parser, main, predict_at
 from spectralkan.data import save_labels
 from spectralkan.errors import DataError, MalformedHeaderError
 
@@ -207,6 +209,26 @@ class TestErrorPaths:
         assert main(args) == 3
 
 
+    def test_nested_json_cube_header_is_data_error(self, dataset, tmp_path):
+        bad = tmp_path / "nested.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        args = ["train", str(bad), str(dataset / "t2.json"),
+                str(dataset / "labels.pgm"), "--out-dir", str(tmp_path)]
+        assert main(args) == 3
+
+    def test_nested_json_checkpoint_header_is_data_error(self, dataset, tmp_path):
+        text = b"[" * 100_000 + b"]" * 100_000
+        ckpt = tmp_path / "nested.ckpt"
+        ckpt.write_bytes(b"SKAN0001" + struct.pack("<Q", len(text)) + text)
+        assert main(eval_args(dataset, ckpt, tmp_path / "ev")) == 3
+
+    def test_nested_json_config_is_config_error(self, dataset, tmp_path):
+        config = tmp_path / "nested.json"
+        config.write_text("[" * 100_000 + "]" * 100_000)
+        args = train_args(dataset, tmp_path / "run", ["--config", str(config)])
+        assert main(args) == 2
+
+
 def corrupt_checkpoint(path, how, value=None):
     """Rewrite one field of a saved checkpoint, keeping the rest intact."""
     blob = path.read_bytes()
@@ -288,6 +310,62 @@ class TestCorruptCheckpoint:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert main(eval_args(dataset, ckpt, tmp_path / "ev")) == 3
+
+
+def ablation_model(variant, bands, seed=0):
+    config = ModelConfig(variant=variant, patch_size=5, bands=bands,
+                         spatial_nodes=[25, 16, 1],
+                         spectral_nodes=[bands, 16, 2], grid=make_grid())
+    return build_model(config, seed=seed)
+
+
+def scene(size, bands, seed=0):
+    x1, x2, _ = synth_dataset(size, size, bands, seed=seed)
+    return normalize(difference(x1, x2))
+
+
+class TestPredictAt:
+    @pytest.mark.parametrize("variant,bands,batch", [
+        (Variant.MLP_SS, 155, 67), (Variant.MLP, 155, 67),
+        (Variant.KAN, 155, 8), (Variant.KAN_ENC, 155, 8),
+        (Variant.KAN_SS, 155, 8), (Variant.SPECTRAL_KAN, 155, 8),
+        (Variant.SPECTRAL_KAN, 30, 43),
+    ])
+    def test_batch_holds_two_mib_in_the_widest_layer(self, variant, bands, batch):
+        assert _batch_size(ablation_model(variant, bands)) == batch
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_batches_match_one_forward_over_all_patches(self, variant):
+        cube = scene(20, 30, seed=1)
+        model = ablation_model(variant, 30, seed=2)
+        coords = np.argwhere(np.ones((20, 20), dtype=bool))
+        batch = _batch_size(model)
+        assert cube.values.dtype == np.float32
+        assert len(coords) > batch and len(coords) % batch != 0
+        pred = predict_at(model, cube, coords)
+        logits, _ = model.forward(
+            extract_patches(cube, coords, 5).astype(np.float64))
+        assert pred.dtype == np.uint8
+        assert np.array_equal(pred, np.argmax(logits, axis=1))
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_no_pixels_gives_no_labels(self, variant):
+        pred = predict_at(ablation_model(variant, 30), scene(6, 30),
+                          np.zeros((0, 2), dtype=np.int64))
+        assert pred.shape == (0,) and pred.dtype == np.uint8
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_peak_memory_of_a_full_scene_stays_small(self, variant):
+        cube = scene(40, 155, seed=3)
+        model = ablation_model(variant, 155, seed=4)
+        coords = np.argwhere(np.ones((40, 40), dtype=bool))
+        tracemalloc.start()
+        try:
+            predict_at(model, cube, coords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 << 20
 
 
 class TestCount:

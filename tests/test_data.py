@@ -3,11 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectralkan import (HsiCube, LabelMap, difference, extract_patches,
                          load_cube, load_labels, normalize, patch_set,
                          save_cube, save_labels, stratified_split,
                          synth_dataset)
+from spectralkan.cli import main
 from spectralkan.data import load_pgm, save_pgm
 from spectralkan.errors import (ContractError, DataError,
                                 DimensionOverflowError, DomainError,
@@ -354,3 +357,90 @@ class TestPgm:
         save_pgm(np.full((2, 2), 9, dtype=np.uint8), tmp_path / "bad.pgm")
         with pytest.raises(DataError):
             load_labels(tmp_path / "bad.pgm")
+
+
+def mutate(blob: bytes, data) -> bytes:
+    """One byte-level edit: overwrite, insert or delete a few bytes, or cut
+    the file short; positions favour the header at the start of the file."""
+    end = data.draw(st.sampled_from([min(len(blob), 16), len(blob)]))
+    at = data.draw(st.integers(0, end))
+    chunk = data.draw(st.binary(min_size=1, max_size=4) | st.sampled_from(
+        [b" ", b"\n", b"#", b"-", b"0", b"9" * 30, b"\x00", b"\xff"]))
+    how = data.draw(st.sampled_from(["overwrite", "insert", "delete", "cut"]))
+    if how == "overwrite":
+        return blob[:at] + chunk + blob[at + len(chunk):]
+    if how == "insert":
+        return blob[:at] + chunk + blob[at:]
+    if how == "delete":
+        return blob[:at] + blob[at + len(chunk):]
+    return blob[:at]
+
+
+class TestMutatedFiles:
+    """A mutated cube header or label map loads cleanly or is a data error.
+
+    Every rejection must be a ``DataError``, which ``train`` turns into
+    exit code 3; a load that succeeds must give what the file describes.
+    """
+
+    @pytest.fixture(scope="class")
+    def scene(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("scene")
+        x1, x2, labels = synth_dataset(5, 4, 3, seed=2)
+        save_cube(x1, out / "t1.json")
+        save_cube(x2, out / "t2.json")
+        save_labels(labels, out / "labels.pgm")
+        return out
+
+    @staticmethod
+    def train_exit(scene, t1, labels):
+        return main(["train", str(t1), str(scene / "t2.json"), str(labels),
+                     "--epochs", "1", "--out-dir", str(scene / "run")])
+
+    def check_cube(self, scene, text: bytes):
+        edited = scene / "edited.json"
+        edited.write_bytes(text)
+        try:
+            cube = load_cube(edited)
+        except DataError:
+            assert self.train_exit(scene, edited, scene / "labels.pgm") == 3
+            return
+        header = json.loads(text)
+        dims = tuple(header[k] for k in ("height", "width", "bands"))
+        assert cube.values.shape == dims
+        payload = (scene / str(header["payload"])).read_bytes()
+        assert cube.values.astype("<f4").tobytes() == payload
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), value=st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(),
+        st.text(max_size=6), st.lists(st.integers(0, 9), max_size=3),
+        st.sampled_from([10 ** 400, -(10 ** 400), 3.0, "3", "", ".", "..",
+                         "t2.raw", "t1.json", "\x00", "x" * 300,
+                         "f64le", "band-sequential"])))
+    def test_cube_header_field_edits(self, scene, data, value):
+        header = json.loads((scene / "t1.json").read_text())
+        key = data.draw(st.sampled_from(sorted(header)))
+        if data.draw(st.booleans()):
+            header[key] = value
+        else:
+            del header[key]
+        self.check_cube(scene, json.dumps(header).encode())
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_cube_header_byte_edits(self, scene, data):
+        self.check_cube(scene, mutate((scene / "t1.json").read_bytes(), data))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_label_map_byte_edits(self, scene, data):
+        edited = scene / "edited.pgm"
+        edited.write_bytes(mutate((scene / "labels.pgm").read_bytes(), data))
+        try:
+            labels = load_labels(edited)
+        except DataError:
+            assert self.train_exit(scene, scene / "t1.json", edited) == 3
+            return
+        assert labels.labels.dtype == np.uint8 and labels.labels.ndim == 2
+        assert np.all(np.isin(labels.labels, (0, 1, 255)))

@@ -147,6 +147,27 @@ class TestForward:
         with pytest.raises(DomainError):
             model.forward(bad)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_forward_without_caches_gives_the_same_logits(self, variant):
+        model = build_model(tiny_config(variant), seed=3)
+        patches = np.random.default_rng(4).uniform(-1, 1, (7, 3, 3, 4))
+        kept, caches = model.forward(patches)
+        bare, none = model.forward(patches, keep=False)
+        assert bare.tobytes() == kept.tobytes()
+        assert len(caches) == len(model.layers()) and none == []
+        with pytest.raises(ContractError):
+            model.backward(none, bare)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_float32_patches_cast_like_float64(self, variant):
+        model = build_model(tiny_config(variant), seed=5)
+        patches = np.random.default_rng(6).uniform(-1, 1, (5, 3, 3, 4))
+        single = patches.astype(np.float32)
+        for keep in (True, False):
+            got, _ = model.forward(single, keep=keep)
+            want, _ = model.forward(single.astype(np.float64), keep=keep)
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("variant", [Variant.KAN, Variant.SPECTRAL_KAN])
     def test_backward_rejects_short_cache_list(self, variant):
         model = build_model(tiny_config(variant), seed=0)
