@@ -21,7 +21,6 @@ from .errors import ContractError, DataError, DomainError, UndefinedMetricError
 from .metrics import report, tally
 from .model import (Model, ModelConfig, Variant, build_model, load_checkpoint,
                     save_checkpoint)
-from .spline import make_grid
 from .training import TrainConfig, gradient_check, train
 
 CHECK_FAILED = 4
@@ -34,12 +33,16 @@ _BATCH_VALUES = 2 ** 18
 
 
 def _parse_nodes(value) -> list[int] | None:
+    """Node list from flag text or a --config list; ``None`` when absent
+    or empty, which selects the config's default."""
     if value is None:
         return None
-    if isinstance(value, str):
-        value = [v for v in value.replace(" ", "").split(",") if v]
     try:
-        return [int(v) for v in value]
+        if not isinstance(value, str):
+            # A list reads as its comma-joined text, so 25.0 and true fail
+            # as they would in the flag.
+            value = ",".join(map(str, value))
+        return [int(v) for v in value.replace(" ", "").split(",") if v] or None
     except (TypeError, ValueError):
         raise ContractError(f"node list must be comma-separated integers, got {value!r}")
 
@@ -84,12 +87,9 @@ def _convert(flag: argparse.Action, value, config_path):
 
 
 def _model_config(args, bands: int) -> ModelConfig:
-    p = args.patch_size
-    spatial = _parse_nodes(args.spatial_nodes) or [p * p, 16, 1]
-    spectral = _parse_nodes(args.spectral_nodes) or [bands, 16, 2]
-    return ModelConfig(variant=Variant(args.variant), patch_size=p, bands=bands,
-                       spatial_nodes=spatial, spectral_nodes=spectral,
-                       grid=make_grid())
+    return ModelConfig(variant=Variant(args.variant), patch_size=args.patch_size,
+                       bands=bands, spatial_nodes=_parse_nodes(args.spatial_nodes),
+                       spectral_nodes=_parse_nodes(args.spectral_nodes))
 
 
 def _load_pair(args) -> tuple[HsiCube, HsiCube, LabelMap]:
@@ -108,12 +108,10 @@ def _batch_size(model: Model) -> int:
     ``_BATCH_VALUES`` float64 values for one batch.
 
     A KAN layer's widest array is its basis tensor, ``d_in * basis_count``
-    values per row; a dense layer's is its input or output. The spatial
-    stack runs one row per band, the spectral stack one per patch.
+    values per row; a dense layer's is its input or output.
     """
     widest = 0
-    for rows, stack in ((model.config.bands, model.spatial_stack),
-                        (1, model.spectral_stack)):
+    for _, stack, rows in model.stacks():
         for layer in stack:
             width = (max(layer.d_in, layer.d_out) if layer.kind == "dense"
                      else layer.d_in * layer.grid.basis_count)
@@ -222,15 +220,12 @@ def cmd_count(args) -> int:
         raise ContractError("--bands is required for accounting")
     config = _model_config(args, args.bands)
     model = build_model(config, seed=0)
-    per_layer = []
-    for stack_name, stack in (("spatial", model.spatial_stack),
-                              ("spectral", model.spectral_stack)):
-        for i, layer in enumerate(stack):
-            per_layer.append({
-                "stack": stack_name, "index": i, "kind": layer.kind,
-                "d_in": layer.d_in, "d_out": layer.d_out,
-                "params": layer.param_count(), "flops": layer.flop_count(),
-            })
+    per_layer = [{
+        "stack": stack_name, "index": i, "kind": layer.kind,
+        "d_in": layer.d_in, "d_out": layer.d_out,
+        "params": sum(p.size for p in layer.params()),
+        "flops": layer.flop_count(),
+    } for stack_name, stack, _ in model.stacks() for i, layer in enumerate(stack)]
     spatial_nodes, spectral_nodes = config.stack_nodes
     payload = {
         "variant": config.variant.value,
@@ -249,8 +244,7 @@ def cmd_count(args) -> int:
 def cmd_gradcheck(args) -> int:
     p, b = 3, 4
     config = ModelConfig(variant=Variant(args.variant), patch_size=p, bands=b,
-                         spatial_nodes=[p * p, 4, 1], spectral_nodes=[b, 4, 2],
-                         grid=make_grid())
+                         spatial_nodes=[p * p, 4, 1], spectral_nodes=[b, 4, 2])
     model = build_model(config, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     patches = rng.uniform(-0.9, 0.9, size=(8, p, p, b))

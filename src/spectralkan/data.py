@@ -90,8 +90,6 @@ class SplitSpec:
 
     train_indices: np.ndarray
     test_indices: np.ndarray
-    fraction: float
-    seed: int
 
 
 @dataclass
@@ -191,8 +189,7 @@ def stratified_split(labels: LabelMap, fraction: float, seed: int = 0) -> SplitS
         train_parts.append(coords[mask])
         test_parts.append(coords[~mask])
     return SplitSpec(train_indices=np.concatenate(train_parts),
-                     test_indices=np.concatenate(test_parts),
-                     fraction=fraction, seed=seed)
+                     test_indices=np.concatenate(test_parts))
 
 
 def _smooth(field: np.ndarray, passes: int = 12) -> np.ndarray:

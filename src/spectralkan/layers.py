@@ -12,11 +12,13 @@ Three layer kinds:
 
 Forward returns ``(outputs, cache)``; ``backward`` consumes the cache and
 an upstream gradient and returns the input gradient plus one gradient per
-parameter tensor, in ``params()`` order. ``forward(x, keep=False)`` returns
-``(outputs, None)`` and keeps nothing for a backward pass, so prediction
-frees each layer's intermediates as soon as the layer is done. Parameter
-and FLOP counts follow a fixed cost convention: SiLU costs 4, a spline
-evaluation 96, and each weight multiplication 1, per scalar input element.
+parameter tensor, in ``params()`` order, whose names ``param_names``
+lists. ``forward(x, keep=False)`` returns ``(outputs, None)`` and keeps
+nothing for a backward pass, so prediction frees each layer's
+intermediates as soon as the layer is done. A layer's parameter count is
+the total size of its ``params()``. FLOP counts follow a fixed cost
+convention: SiLU costs 4, a spline evaluation 96, and each weight
+multiplication 1, per scalar input element.
 """
 
 from __future__ import annotations
@@ -85,10 +87,11 @@ def _check_cache(layer, cache: LayerCache, grad_out) -> np.ndarray:
     return grad_out
 
 
-class FullKanLayer:
-    """KAN layer with an independent activation on every edge."""
+class _KanLayer:
+    """Constructor and parameter list of the two KAN layer kinds, which
+    differ only in the shape of ``spline_coeff``."""
 
-    kind = "full"
+    param_names = ("base_weight", "spline_scale", "spline_coeff")
 
     def __init__(self, base_weight, spline_scale, spline_coeff, grid: SplineGrid):
         self.base_weight = np.asarray(base_weight, dtype=np.float64)
@@ -98,20 +101,23 @@ class FullKanLayer:
         d_out, d_in = self.base_weight.shape
         if self.spline_scale.shape != (d_out, d_in):
             raise ContractError("spline_scale shape mismatch")
-        if self.spline_coeff.shape != (d_out, d_in, grid.basis_count):
+        if self.spline_coeff.shape != self._coeff_shape(d_out, d_in,
+                                                        grid.basis_count):
             raise ContractError("spline_coeff shape mismatch")
         self.d_out, self.d_in = d_out, d_in
 
     def params(self) -> list[np.ndarray]:
         return [self.base_weight, self.spline_scale, self.spline_coeff]
 
-    def param_names(self) -> list[str]:
-        return ["base_weight", "spline_scale", "spline_coeff"]
 
-    def param_count(self) -> int:
-        # 2 scalar weights plus one coefficient vector per edge; 10/edge at
-        # the default 8-function basis.
-        return (2 + self.grid.basis_count) * self.d_in * self.d_out
+class FullKanLayer(_KanLayer):
+    """KAN layer with an independent activation on every edge."""
+
+    kind = "full"
+
+    @staticmethod
+    def _coeff_shape(d_out: int, d_in: int, basis_count: int) -> tuple:
+        return (d_out, d_in, basis_count)
 
     def flop_count(self) -> int:
         return 102 * self.d_in * self.d_out
@@ -144,31 +150,14 @@ class FullKanLayer:
         return grad_in, [grad_base, grad_scale, grad_coeff]
 
 
-class SharedKanLayer:
+class SharedKanLayer(_KanLayer):
     """KAN layer whose edges share one SiLU and one spline per input node."""
 
     kind = "shared"
 
-    def __init__(self, base_weight, spline_scale, spline_coeff, grid: SplineGrid):
-        self.base_weight = np.asarray(base_weight, dtype=np.float64)
-        self.spline_scale = np.asarray(spline_scale, dtype=np.float64)
-        self.spline_coeff = np.asarray(spline_coeff, dtype=np.float64)
-        self.grid = grid
-        d_out, d_in = self.base_weight.shape
-        if self.spline_scale.shape != (d_out, d_in):
-            raise ContractError("spline_scale shape mismatch")
-        if self.spline_coeff.shape != (d_in, grid.basis_count):
-            raise ContractError("spline_coeff shape mismatch")
-        self.d_out, self.d_in = d_out, d_in
-
-    def params(self) -> list[np.ndarray]:
-        return [self.base_weight, self.spline_scale, self.spline_coeff]
-
-    def param_names(self) -> list[str]:
-        return ["base_weight", "spline_scale", "spline_coeff"]
-
-    def param_count(self) -> int:
-        return 2 * self.d_in * self.d_out + self.grid.basis_count * self.d_in
+    @staticmethod
+    def _coeff_shape(d_out: int, d_in: int, basis_count: int) -> tuple:
+        return (d_in, basis_count)
 
     def flop_count(self) -> int:
         return 100 * self.d_in + 2 * self.d_in * self.d_out
@@ -204,6 +193,7 @@ class DenseLayer:
     """Affine layer with optional SiLU activation."""
 
     kind = "dense"
+    param_names = ("weight", "bias")
 
     def __init__(self, weight, bias, activate: bool = True):
         self.weight = np.asarray(weight, dtype=np.float64)
@@ -216,12 +206,6 @@ class DenseLayer:
 
     def params(self) -> list[np.ndarray]:
         return [self.weight, self.bias]
-
-    def param_names(self) -> list[str]:
-        return ["weight", "bias"]
-
-    def param_count(self) -> int:
-        return self.d_in * self.d_out + self.d_out
 
     def flop_count(self) -> int:
         return 2 * self.d_in * self.d_out + self.d_out
@@ -271,8 +255,6 @@ def init_params(kind: str, d_in: int, d_out: int,
         return DenseLayer(draw(d_out, d_in), np.zeros(d_out), activate=activate)
     if grid is None:
         grid = make_grid()
-    if kind == "full":
-        return FullKanLayer(draw(d_out, d_in), draw(d_out, d_in),
-                            draw(d_out, d_in, grid.basis_count), grid)
-    return SharedKanLayer(draw(d_out, d_in), draw(d_out, d_in),
-                          draw(d_in, grid.basis_count), grid)
+    cls = FullKanLayer if kind == "full" else SharedKanLayer
+    return cls(draw(d_out, d_in), draw(d_out, d_in),
+               draw(*cls._coeff_shape(d_out, d_in, grid.basis_count)), grid)

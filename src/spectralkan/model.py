@@ -6,7 +6,10 @@ axis folded into the batch) for the spatial stack, whose one weight set,
 shared by all bands, compresses it to a single value; the length-``b``
 vector goes through the spectral stack to produce two logits. A flat
 variant is one with an empty spatial stack, so its spectral stack sees
-the band-major flattened ``p*p*b`` patch.
+the band-major flattened ``p*p*b`` patch. ``Model.stacks()`` is the one
+table of each stack's name, layers and rows per patch; FLOP totals,
+checkpoint headers and the CLI read it. A parameter count is the total
+size of the parameter tensors.
 
 Checkpoints are single files: the magic ``SKAN0001``, an 8-byte
 little-endian header length, a JSON header (config plus tensor
@@ -24,6 +27,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -63,15 +67,16 @@ class ModelConfig:
     """Architecture description for any variant.
 
     ``spatial_nodes`` must run from ``patch_size**2`` down to 1 and
-    ``spectral_nodes`` from ``bands`` down to 2. Flat (non-SS) variants
-    derive their single node list as ``[p*p*bands] + spectral_nodes[1:]``.
+    ``spectral_nodes`` from ``bands`` down to 2; ``None`` gives
+    ``[p*p, 16, 1]`` and ``[bands, 16, 2]``. Flat (non-SS) variants derive
+    their single node list as ``[p*p*bands] + spectral_nodes[1:]``.
     """
 
     variant: Variant = Variant.SPECTRAL_KAN
     patch_size: int = 5
     bands: int = 155
-    spatial_nodes: list[int] = field(default_factory=lambda: [25, 16, 1])
-    spectral_nodes: list[int] = field(default_factory=lambda: [155, 16, 2])
+    spatial_nodes: Optional[list[int]] = None
+    spectral_nodes: Optional[list[int]] = None
     grid: SplineGrid = field(default_factory=make_grid)
 
     def __post_init__(self):
@@ -81,7 +86,8 @@ class ModelConfig:
             raise ContractError(f"patch_size must be odd and positive, got {p}")
         if b < 1:
             raise ContractError(f"bands must be positive, got {b}")
-        sp, sc = list(self.spatial_nodes), list(self.spectral_nodes)
+        sp = [p * p, 16, 1] if self.spatial_nodes is None else list(self.spatial_nodes)
+        sc = [b, 16, 2] if self.spectral_nodes is None else list(self.spectral_nodes)
         if len(sp) < 2 or sp[0] != p * p or sp[-1] != 1 or min(sp) < 1:
             raise ContractError(
                 f"spatial nodes must run {p * p} -> ... -> 1, got {sp}")
@@ -185,27 +191,25 @@ class Model:
             grads[:0] = layer_grads
         return grads
 
+    def stacks(self) -> tuple[tuple[str, list, int], ...]:
+        """``(name, layers, rows per patch)`` of each stack, in run order:
+        the spatial stack runs once per band, the spectral stack once."""
+        return (("spatial", self.spatial_stack, self.config.bands),
+                ("spectral", self.spectral_stack, 1))
+
     def layers(self) -> list:
-        return list(self.spatial_stack) + list(self.spectral_stack)
+        return [layer for _, stack, _ in self.stacks() for layer in stack]
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers():
-            out.extend(layer.params())
-        return out
+        return [p for layer in self.layers() for p in layer.params()]
 
     def total_params(self) -> int:
-        return sum(layer.param_count() for layer in self.layers())
+        return sum(p.size for p in self.parameters())
 
     def total_flops(self) -> int:
-        """Per-patch FLOP count under the fixed cost convention.
-
-        The spatial stack runs once per band, so its per-row cost is
-        multiplied by ``bands``.
-        """
-        spatial = sum(layer.flop_count() for layer in self.spatial_stack)
-        spectral = sum(layer.flop_count() for layer in self.spectral_stack)
-        return self.config.bands * spatial + spectral
+        """Per-patch FLOP count under the fixed cost convention."""
+        return sum(rows * layer.flop_count()
+                   for _, stack, rows in self.stacks() for layer in stack)
 
 
 def _config_dict(config: ModelConfig) -> dict:
@@ -226,10 +230,9 @@ def _config_dict(config: ModelConfig) -> dict:
 def _header(model: Model) -> tuple[dict, list[np.ndarray]]:
     """The header :func:`save_checkpoint` writes, and the tensors in payload order."""
     table, tensors, offset = {}, [], 0
-    for stack_name, stack in (("spatial", model.spatial_stack),
-                              ("spectral", model.spectral_stack)):
+    for stack_name, stack, _ in model.stacks():
         for i, layer in enumerate(stack):
-            for name, arr in zip(layer.param_names(), layer.params()):
+            for name, arr in zip(layer.param_names, layer.params()):
                 table[f"{stack_name}.{i}.{name}"] = {
                     "shape": list(arr.shape), "offset": offset,
                     "nbytes": arr.nbytes}

@@ -166,6 +166,11 @@ class TestTrainEval:
         ("train", {"variant": "bogus"}),
         ("gradcheck", {"threshold": "x"}),
         ("count", {"bands": "x"}),
+        ("count", {"bands": 155, "spatial_nodes": [25.9, 16.7, 1]}),
+        ("count", {"bands": 155, "spatial_nodes": [25, True, 1]}),
+        ("count", {"bands": 155, "spatial_nodes": [25.0, 16, 1]}),
+        ("count", {"bands": 155, "spectral_nodes": [155, 16, 2.0]}),
+        ("count", {"bands": 155, "spectral_nodes": [155, True, 2]}),
     ])
     def test_config_value_must_convert_like_its_flag(self, dataset, tmp_path,
                                                      command, values):
@@ -397,6 +402,21 @@ class TestCount:
             "--spatial-nodes", "25,1", "--spectral-nodes", "155,2"])
         assert payload["total_params"] == \
             (2 * 25 + 8 * 25) + (2 * 155 * 2 + 8 * 155)
+
+    def test_empty_node_flags_select_the_defaults(self, capsys):
+        default = self.run_count(capsys, ["--bands", "155"])
+        empty = self.run_count(capsys, ["--bands", "155", "--spatial-nodes", "",
+                                        "--spectral-nodes", ""])
+        assert empty == default
+
+    def test_config_node_lists_count_like_flags(self, capsys, tmp_path):
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"spatial_nodes": [25, 1],
+                                      "spectral_nodes": ["155", 2]}))
+        flags = ["--bands", "155", "--spatial-nodes", "25,1",
+                 "--spectral-nodes", "155,2"]
+        assert self.run_count(capsys, ["--bands", "155", "--config", str(config)]) \
+            == self.run_count(capsys, flags)
 
     def test_count_is_seed_independent(self, capsys):
         a = self.run_count(capsys, ["--variant", "kan-ss", "--bands", "155"])

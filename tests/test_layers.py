@@ -191,26 +191,41 @@ class TestInit:
             init_params("conv", 3, 3, seed=0)
 
 
+def param_count(layer) -> int:
+    return sum(p.size for p in layer.params())
+
+
 class TestAccounting:
     def test_full_stack_counts(self):
         stack = [init_params("full", 3875, 16, grid=GRID, seed=0),
                  init_params("full", 16, 2, grid=GRID, seed=0)]
-        assert sum(l.param_count() for l in stack) == 620_320
+        assert sum(param_count(l) for l in stack) == 620_320
 
     def test_shared_stack_counts(self):
         stack = [init_params("shared", 3875, 16, grid=GRID, seed=0),
                  init_params("shared", 16, 2, grid=GRID, seed=0)]
-        assert sum(l.param_count() for l in stack) == 155_192
+        assert sum(param_count(l) for l in stack) == 155_192
 
     def test_dense_stack_counts(self):
         # d_in*d_out + d_out per layer.
         stack = [init_params("dense", 3875, 16, seed=0),
                  init_params("dense", 16, 2, seed=0)]
-        assert sum(l.param_count() for l in stack) == 62_050
+        assert sum(param_count(l) for l in stack) == 62_050
+
+    @pytest.mark.parametrize("d_in,d_out",
+                             [(1, 1), (3, 2), (25, 16), (155, 16), (7, 1)])
+    def test_per_layer_count_rules(self, d_in, d_out):
+        s = GRID.basis_count
+        expected = {"full": (2 + s) * d_in * d_out,
+                    "shared": 2 * d_in * d_out + s * d_in,
+                    "dense": d_in * d_out + d_out}
+        for kind, count in expected.items():
+            layer = init_params(kind, d_in, d_out, grid=GRID, seed=0)
+            assert param_count(layer) == count
 
     def test_shared_small_layer(self):
         layer = init_params("shared", 25, 16, grid=GRID, seed=0)
-        assert layer.param_count() == 1_000
+        assert param_count(layer) == 1_000
         assert layer.flop_count() == 3_300
 
     def test_single_edge_flops(self):
@@ -225,6 +240,6 @@ class TestAccounting:
 
     def test_counts_ignore_parameter_values(self):
         layer = init_params("shared", 6, 5, grid=GRID, seed=0)
-        before = (layer.param_count(), layer.flop_count())
+        before = (param_count(layer), layer.flop_count())
         layer.base_weight[:] = 123.0
-        assert (layer.param_count(), layer.flop_count()) == before
+        assert (param_count(layer), layer.flop_count()) == before

@@ -61,6 +61,8 @@ class TestBuild:
         {"spectral_nodes": [154, 16, 2]},
         {"spectral_nodes": [155, 16, 3]},
         {"spectral_nodes": [155]},
+        {"spatial_nodes": []},
+        {"spectral_nodes": []},
     ])
     def test_rejects_inconsistent_config(self, kwargs):
         base = dict(variant=Variant.SPECTRAL_KAN, patch_size=5, bands=155,
@@ -68,6 +70,15 @@ class TestBuild:
         base.update(kwargs)
         with pytest.raises(ContractError):
             ModelConfig(**base)
+
+    @pytest.mark.parametrize("kwargs,spatial,spectral", [
+        ({}, [25, 16, 1], [155, 16, 2]),
+        ({"patch_size": 3, "bands": 30}, [9, 16, 1], [30, 16, 2]),
+    ])
+    def test_default_node_lists_follow_patch_and_bands(self, kwargs, spatial,
+                                                       spectral):
+        config = ModelConfig(**kwargs)
+        assert (config.spatial_nodes, config.spectral_nodes) == (spatial, spectral)
 
 
 class TestForward:
