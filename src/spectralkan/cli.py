@@ -1,5 +1,8 @@
 """Command-line pipeline: synthesize, train, evaluate, count, gradcheck.
 
+``train`` and ``eval`` hold one scene cube, the normalized difference of
+the two epochs, and report on the same held-out split.
+
 Exit codes: 0 on success, 2 for configuration/contract problems, 3 for
 dataset or file problems, 4 for a failed numerical check. Option
 precedence is flags over ``--config`` JSON values over built-in defaults.
@@ -14,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (HsiCube, LabelMap, UNKNOWN, difference, extract_patches,
+from .data import (HsiCube, LabelMap, difference, extract_patches,
                    load_cube, load_labels, normalize, patch_set, save_cube,
                    save_labels, save_pgm, stratified_split, synth_dataset)
 from .errors import ContractError, DataError, DomainError, UndefinedMetricError
@@ -92,15 +95,16 @@ def _model_config(args, bands: int) -> ModelConfig:
                        spectral_nodes=_parse_nodes(args.spectral_nodes))
 
 
-def _load_pair(args) -> tuple[HsiCube, HsiCube, LabelMap]:
-    x1 = load_cube(args.t1)
-    x2 = load_cube(args.t2)
+def _load_scene(args) -> tuple[HsiCube, LabelMap]:
+    """The label map, then the normalized difference cube; the epoch cubes
+    are freed as soon as they are differenced."""
     labels = load_labels(args.labels)
-    if (labels.height, labels.width) != (x1.height, x1.width):
+    cube = normalize(difference(load_cube(args.t1), load_cube(args.t2)))
+    if (labels.height, labels.width) != (cube.height, cube.width):
         raise ContractError(
             f"label map {labels.height}x{labels.width} does not match cube "
-            f"{x1.height}x{x1.width}")
-    return x1, x2, labels
+            f"{cube.height}x{cube.width}")
+    return cube, labels
 
 
 def _batch_size(model: Model) -> int:
@@ -137,9 +141,22 @@ def _write_json(payload: dict, path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def cmd_synth(args) -> int:
+def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _report(out: Path, pred: np.ndarray, labels: LabelMap, coords: np.ndarray) -> None:
+    """Write and print OA and kappa of ``pred`` against the labels at ``coords``."""
+    metrics = report(tally(pred, labels.labels[coords[:, 0], coords[:, 1]]))
+    _write_json(metrics, out / "metrics.json")
+    print(f"test oa={metrics['oa']:.4f} kappa={metrics['kappa']:.4f} "
+          f"({metrics['evaluated_pixels']} pixels)")
+
+
+def cmd_synth(args) -> int:
+    out = _out_dir(args)
     x1, x2, labels = synth_dataset(args.height, args.width, args.bands,
                                    change_fraction=args.change_fraction,
                                    noise_sigma=args.noise_sigma, seed=args.seed)
@@ -157,8 +174,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    x1, x2, labels = _load_pair(args)
-    cube = normalize(difference(x1, x2))
+    cube, labels = _load_scene(args)
     config = _model_config(args, cube.bands)
     tc = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                      base_lr=args.lr, decay_factor=args.decay_factor,
@@ -167,51 +183,33 @@ def cmd_train(args) -> int:
     train_ps = patch_set(cube, labels, split.train_indices, config.patch_size)
     model = build_model(config, seed=args.seed)
     model, history = train(model, train_ps, tc)
-
     pred = predict_at(model, cube, split.test_indices)
-    truth = labels.labels[split.test_indices[:, 0], split.test_indices[:, 1]]
-    metrics = report(tally(pred, truth))
 
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     save_checkpoint(model, out / "model.ckpt")
     history.to_csv(out / "history.csv")
-    _write_json(metrics, out / "metrics.json")
-    print(f"test oa={metrics['oa']:.4f} kappa={metrics['kappa']:.4f} "
-          f"({metrics['evaluated_pixels']} pixels)")
+    _report(out, pred, labels, split.test_indices)
     return 0
 
 
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    x1, x2, labels = _load_pair(args)
-    if model.config.bands != x1.bands:
+    cube, labels = _load_scene(args)
+    if model.config.bands != cube.bands:
         raise ContractError(
-            f"checkpoint expects {model.config.bands} bands, dataset has {x1.bands}")
-    cube = normalize(difference(x1, x2))
+            f"checkpoint expects {model.config.bands} bands, dataset has {cube.bands}")
     known = labels.known_coords()
     if len(known) == 0:
         raise DataError("no evaluable pixels: every label is unknown")
-    pred = predict_at(model, cube, known)
-
+    # Metrics are reported on the held-out split, so evaluating right after
+    # training reproduces its report; a bad split fails before prediction.
+    test = stratified_split(labels, args.train_fraction, args.seed).test_indices
     change_map = np.full(labels.labels.shape, 128, dtype=np.uint8)
-    change_map[known[:, 0], known[:, 1]] = pred * 255
+    change_map[known[:, 0], known[:, 1]] = predict_at(model, cube, known) * 255
 
-    # Metrics are reported on the held-out split so that evaluating right
-    # after training reproduces the training run's final report.
-    split = stratified_split(labels, args.train_fraction, args.seed)
-    pred_grid = np.full(labels.labels.shape, UNKNOWN, dtype=np.uint8)
-    pred_grid[known[:, 0], known[:, 1]] = pred
-    test_r, test_c = split.test_indices[:, 0], split.test_indices[:, 1]
-    metrics = report(tally(pred_grid[test_r, test_c],
-                           labels.labels[test_r, test_c]))
-
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     save_pgm(change_map, out / "change_map.pgm")
-    _write_json(metrics, out / "metrics.json")
-    print(f"test oa={metrics['oa']:.4f} kappa={metrics['kappa']:.4f} "
-          f"({metrics['evaluated_pixels']} pixels)")
+    _report(out, change_map[test[:, 0], test[:, 1]] == 255, labels, test)
     return 0
 
 

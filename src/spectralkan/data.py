@@ -94,15 +94,14 @@ class SplitSpec:
 
 @dataclass
 class PatchSet:
-    """Patches with their labels and source pixel coordinates."""
+    """Patches with their labels."""
 
     patches: np.ndarray
     labels: np.ndarray
-    coords: np.ndarray
 
     def __post_init__(self):
-        if len(self.patches) != len(self.labels) or len(self.labels) != len(self.coords):
-            raise ContractError("patches, labels and coords must align 1:1")
+        if len(self.patches) != len(self.labels):
+            raise ContractError("patches and labels must align 1:1")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -162,7 +161,7 @@ def patch_set(cube: HsiCube, label_map: LabelMap, coords: np.ndarray,
     labels = label_map.labels[coords[:, 0], coords[:, 1]]
     if np.any(labels == UNKNOWN):
         raise ContractError("patch set coordinates include unknown pixels")
-    return PatchSet(patches, labels.astype(np.int64), coords)
+    return PatchSet(patches, labels.astype(np.int64))
 
 
 def stratified_split(labels: LabelMap, fraction: float, seed: int = 0) -> SplitSpec:
@@ -272,6 +271,8 @@ def save_cube(cube: HsiCube, header_path) -> None:
 
 
 def load_cube(header_path) -> HsiCube:
+    """Check the header, then the payload's size, then read the payload once
+    into the cube's array; any payload fault is a ``DataError``."""
     header_path = Path(header_path)
     try:
         header = json.loads(header_path.read_text())
@@ -303,14 +304,13 @@ def load_cube(header_path) -> HsiCube:
         if found != expected:
             raise TruncatedPayloadError(
                 f"{payload_path}: expected {expected} bytes, found {found}")
-        blob = payload_path.read_bytes()
+        values = np.fromfile(payload_path, dtype="<f4").reshape(h, w, b)
     except (OSError, ValueError) as exc:
-        # A payload name that is missing, a directory or holds a NUL byte.
+        # A payload that is missing, a directory, named with a NUL or short.
         raise DataError(f"{payload_path}: cannot read payload: {exc}") from exc
-    values = np.frombuffer(blob, dtype="<f4").reshape(h, w, b)
     if not np.all(np.isfinite(values)):
         raise DataError(f"{payload_path}: payload contains non-finite values")
-    return HsiCube(values.copy())
+    return HsiCube(values)
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ContractError("batch_size must be at least 1")
         for name in ("base_lr", "decay_factor", "decay_every"):
-            if getattr(self, name) <= 0:
-                raise ContractError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ContractError(f"{name} must be finite and positive")
 
 
 def lr_at(config: TrainConfig, epoch: int) -> float:

@@ -9,6 +9,7 @@ from spectralkan import (LabelMap, Variant, build_model, difference,
                          extract_patches, load_checkpoint, load_labels,
                          make_grid, ModelConfig, normalize, save_checkpoint,
                          synth_dataset)
+from spectralkan import cli
 from spectralkan.cli import _batch_size, build_parser, main, predict_at
 from spectralkan.data import save_labels
 from spectralkan.errors import DataError, MalformedHeaderError
@@ -201,6 +202,24 @@ class TestErrorPaths:
                 "--out-dir", str(tmp_path / "ev")]
         assert main(args) == 3
 
+    def test_bad_split_fails_before_prediction(self, dataset, tmp_path, monkeypatch):
+        run = tmp_path / "run"
+        assert main(train_args(dataset, run, FAST_TRAIN)) == 0
+        calls = []
+        monkeypatch.setattr(cli, "predict_at", lambda *args: calls.append(args))
+        code = main(eval_args(dataset, run / "model.ckpt", tmp_path / "ev",
+                              ["--train-fraction", "1.5"]))
+        assert code == 2 and calls == []
+
+    @pytest.mark.parametrize("flag,field", [("--lr", "base_lr"),
+                                            ("--decay-factor", "decay_factor")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rate_is_config_error(self, dataset, tmp_path, capsys,
+                                             flag, field, value):
+        code = main(train_args(dataset, tmp_path / "run", [flag, value]))
+        assert code == 2
+        assert field in capsys.readouterr().err
+
     def test_missing_file_is_data_error(self, tmp_path):
         args = ["train", str(tmp_path / "nope.json"), str(tmp_path / "x.json"),
                 str(tmp_path / "l.pgm"), "--out-dir", str(tmp_path)]
@@ -315,6 +334,26 @@ class TestCorruptCheckpoint:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert main(eval_args(dataset, ckpt, tmp_path / "ev")) == 3
+
+
+class TestSceneMemory:
+    def test_train_and_eval_hold_at_most_four_cubes(self, tmp_path):
+        """The epoch cubes are freed once differenced, so neither command
+        holds much more than the difference cube and its transient copies."""
+        h, w, b = 128, 128, 96
+        data = tmp_path / "scene"
+        assert main(["synth", "--height", str(h), "--width", str(w),
+                     "--bands", str(b), "--out-dir", str(data)]) == 0
+        run = tmp_path / "run"
+        for argv in (train_args(data, run, ["--variant", "mlp-ss", "--epochs", "2"]),
+                     eval_args(data, run / "model.ckpt", tmp_path / "ev")):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * h * w * b * 4, (argv[0], peak / (h * w * b * 4))
 
 
 def ablation_model(variant, bands, seed=0):

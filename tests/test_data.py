@@ -283,6 +283,20 @@ class TestCubeFiles:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_payload_short_after_size_check_is_data_error(self, tmp_path, monkeypatch):
+        save_cube(random_cube(2, 2, 2), tmp_path / "c.json")
+        fromfile = np.fromfile
+
+        def shrink_then_read(path, **kwargs):
+            # The payload loses its last value between the size check and the read.
+            with open(path, "r+b") as fh:
+                fh.truncate(28)
+            return fromfile(path, **kwargs)
+
+        monkeypatch.setattr(np, "fromfile", shrink_then_read)
+        with pytest.raises(DataError, match="cannot read payload"):
+            load_cube(tmp_path / "c.json")
+
     def test_zero_dims_rejected(self, tmp_path):
         save_cube(random_cube(2, 2, 2), tmp_path / "c.json")
         header = json.loads((tmp_path / "c.json").read_text())

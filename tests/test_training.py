@@ -23,8 +23,7 @@ def separable_patchset(n=64, seed=0):
     labels = rng.integers(0, 2, size=n)
     centers = np.where(labels == 1, 0.5, -0.5)
     patches = centers[:, None, None, None] + 0.1 * rng.standard_normal((n, 3, 3, 4))
-    coords = np.zeros((n, 2), dtype=np.int64)
-    return PatchSet(np.clip(patches, -1, 1), labels.astype(np.int64), coords)
+    return PatchSet(np.clip(patches, -1, 1), labels.astype(np.int64))
 
 
 class TestCrossEntropy:
@@ -71,6 +70,14 @@ class TestSchedule:
         config = TrainConfig()
         for e in range(40):
             assert lr_at(config, e) == lr_at(config, (e // 10) * 10)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["base_lr", "decay_factor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rate_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            TrainConfig(**{field: value})
 
 
 class TestAdam:
@@ -150,8 +157,7 @@ class TestTrain:
 
     def test_rejects_empty_training_set(self):
         model = tiny_model()
-        empty = PatchSet(np.empty((0, 3, 3, 4)), np.empty(0, dtype=np.int64),
-                         np.empty((0, 2), dtype=np.int64))
+        empty = PatchSet(np.empty((0, 3, 3, 4)), np.empty(0, dtype=np.int64))
         with pytest.raises(ContractError):
             train(model, empty, TrainConfig(epochs=1))
 
