@@ -13,12 +13,17 @@ Three layer kinds:
 Forward returns ``(outputs, cache)``; ``backward`` consumes the cache and
 an upstream gradient and returns the input gradient plus one gradient per
 parameter tensor, in ``params()`` order, whose names ``param_names``
-lists. ``forward(x, keep=False)`` returns ``(outputs, None)`` and keeps
-nothing for a backward pass, so prediction frees each layer's
-intermediates as soon as the layer is done. A layer's parameter count is
-the total size of its ``params()``. FLOP counts follow a fixed cost
-convention: SiLU costs 4, a spline evaluation 96, and each weight
-multiplication 1, per scalar input element.
+lists. ``backward(cache, g, input_grad=False)`` returns ``None`` in place
+of the input gradient and skips the work only it needs (the basis
+derivatives, the SiLU derivative and the products with the weights); the
+parameter gradients are the same either way. A model's first layer runs
+so, since nothing reads the gradient of the input data.
+``forward(x, keep=False)`` returns ``(outputs, None)`` and keeps nothing
+for a backward pass, so prediction frees each layer's intermediates as
+soon as the layer is done. A layer's parameter count is the total size of
+its ``params()``. FLOP counts follow a fixed cost convention: SiLU costs
+4, a spline evaluation 96, and each weight multiplication 1, per scalar
+input element.
 """
 
 from __future__ import annotations
@@ -134,20 +139,26 @@ class FullKanLayer(_KanLayer):
             return out, None
         return out, LayerCache(self, x, sig=sig, act=act, basis=basis)
 
-    def backward(self, cache: LayerCache, grad_out):
+    def backward(self, cache: LayerCache, grad_out, input_grad: bool = True):
         g = _check_cache(self, cache, grad_out)
         x, sig, act, basis = cache.inputs, cache.sig, cache.act, cache.basis
+        # The spline contractions are BLAS matmuls over the flattened
+        # (d_in, basis) axis, its width explicit so n = 0 reshapes too.
+        n, width = basis.shape[0], self.d_in * self.grid.basis_count
         grad_base = g.T @ act
-        # Shared contraction over the batch for both spline gradients.
-        gb = np.einsum("nj,nit->jit", g, basis)
+        # One contraction over the batch serves both spline gradients.
+        gb = (g.T @ basis.reshape(n, width)).reshape(self.spline_coeff.shape)
         grad_scale = np.sum(gb * self.spline_coeff, axis=-1)
         grad_coeff = self.spline_scale[..., None] * gb
+        grads = [grad_base, grad_scale, grad_coeff]
+        if not input_grad:
+            return None, grads
         dbasis = basis_derivatives(self.grid, x)
         weighted = self.spline_scale[..., None] * self.spline_coeff
-        spline_dx = np.einsum("nj,jit->nit", g, weighted)
+        spline_dx = (g @ weighted.reshape(self.d_out, width)).reshape(basis.shape)
         grad_in = (g @ self.base_weight) * _silu_grad(x, sig)
         grad_in += np.sum(spline_dx * dbasis, axis=-1)
-        return grad_in, [grad_base, grad_scale, grad_coeff]
+        return grad_in, grads
 
 
 class SharedKanLayer(_KanLayer):
@@ -175,7 +186,7 @@ class SharedKanLayer(_KanLayer):
         return out, LayerCache(self, x, sig=sig, act=act, basis=basis,
                                spline_vals=spline_vals)
 
-    def backward(self, cache: LayerCache, grad_out):
+    def backward(self, cache: LayerCache, grad_out, input_grad: bool = True):
         g = _check_cache(self, cache, grad_out)
         x, sig, act = cache.inputs, cache.sig, cache.act
         grad_base = g.T @ act
@@ -183,10 +194,13 @@ class SharedKanLayer(_KanLayer):
         # Every outgoing edge contributes to the one shared coefficient row.
         gs = g @ self.spline_scale  # (batch, d_in)
         grad_coeff = np.einsum("ni,nit->it", gs, cache.basis)
+        grads = [grad_base, grad_scale, grad_coeff]
+        if not input_grad:
+            return None, grads
         dbasis = basis_derivatives(self.grid, x)
         dspline = np.einsum("nit,it->ni", dbasis, self.spline_coeff)
         grad_in = (g @ self.base_weight) * _silu_grad(x, sig) + gs * dspline
-        return grad_in, [grad_base, grad_scale, grad_coeff]
+        return grad_in, grads
 
 
 class DenseLayer:
@@ -223,13 +237,12 @@ class DenseLayer:
             return z, None
         return z * sig, LayerCache(self, x, sig=sig, pre_act=z)
 
-    def backward(self, cache: LayerCache, grad_out):
+    def backward(self, cache: LayerCache, grad_out, input_grad: bool = True):
         g = _check_cache(self, cache, grad_out)
         if self.activate:
             g = g * _silu_grad(cache.pre_act, cache.sig)
-        grad_w = g.T @ cache.inputs
-        grad_b = g.sum(axis=0)
-        return g @ self.weight, [grad_w, grad_b]
+        grads = [g.T @ cache.inputs, g.sum(axis=0)]
+        return (g @ self.weight if input_grad else None), grads
 
 
 def init_params(kind: str, d_in: int, d_out: int,

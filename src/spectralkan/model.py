@@ -187,7 +187,10 @@ class Model:
             if i == len(self.spatial_stack) - 1:
                 # (n, b) -> (n*b, 1): back onto the spatial stack's band rows.
                 g = g.reshape(-1, 1)
-            g, layer_grads = layers[i].backward(caches[i], g)
+            # No one reads the gradient of the input data, so the first
+            # layer builds none.
+            g, layer_grads = layers[i].backward(caches[i], g,
+                                                input_grad=i > 0)
             grads[:0] = layer_grads
         return grads
 

@@ -131,3 +131,18 @@ def naive_patch(values, row: int, col: int, p: int) -> np.ndarray:
             out[dr, dc] = values[reflect(row - half + dr, h),
                                  reflect(col - half + dc, w)]
     return out
+
+
+def backward_every_input_grad(model, caches, grad_logits):
+    """``Model.backward`` with every layer, the first too, building its
+    input gradient: the reference that the first layer's skipped input
+    gradient must not change any parameter gradient against."""
+    layers = model.layers()
+    g = np.asarray(grad_logits, dtype=np.float64)
+    grads = []
+    for i in reversed(range(len(layers))):
+        if i == len(model.spatial_stack) - 1:
+            g = g.reshape(-1, 1)
+        g, layer_grads = layers[i].backward(caches[i], g, input_grad=True)
+        grads[:0] = layer_grads
+    return grads

@@ -157,6 +157,50 @@ class TestBackward:
             layer.backward(cache, np.zeros((5, 2)))
 
 
+class TestInputGrad:
+    @pytest.mark.parametrize("kind,activate", [("full", True), ("shared", True),
+                                               ("dense", True), ("dense", False)])
+    def test_skipping_it_keeps_parameter_grads(self, kind, activate):
+        layer = init_params(kind, 5, 3, grid=GRID, seed=31, activate=activate)
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-1.2, 1.2, (7, 5))
+        g = rng.standard_normal((7, 3))
+        _, cache = layer.forward(x)
+        grad_in, grads = layer.backward(cache, g)
+        skipped, kept = layer.backward(cache, g, input_grad=False)
+        assert grad_in.shape == x.shape and skipped is None
+        assert len(kept) == len(grads)
+        assert all(np.array_equal(a, b) for a, b in zip(kept, grads))
+
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_full_layer_backward_of_empty_batch(self, input_grad):
+        layer = init_params("full", 5, 3, grid=GRID, seed=2)
+        _, cache = layer.forward(np.zeros((0, 5)))
+        grad_in, grads = layer.backward(cache, np.zeros((0, 3)),
+                                        input_grad=input_grad)
+        if input_grad:
+            assert grad_in.shape == (0, 5)
+        else:
+            assert grad_in is None
+        assert [g.shape for g in grads] == [p.shape for p in layer.params()]
+        assert all(np.all(g == 0.0) for g in grads)
+
+    @pytest.mark.parametrize("n,d_in,d_out", [(64, 3875, 16), (9920, 25, 16)])
+    def test_full_coeff_grad_matches_einsum(self, n, d_in, d_out):
+        # The kan layer at p=5, b=155 and kan-ss's spatial layer at 64 patches.
+        layer = init_params("full", d_in, d_out, grid=GRID, seed=4)
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-1.2, 1.2, (n, d_in))
+        g = rng.standard_normal((n, d_out))
+        _, cache = layer.forward(x)
+        _, (_, grad_scale, grad_coeff) = layer.backward(cache, g,
+                                                        input_grad=False)
+        gb = np.einsum("nj,nit->jit", g, cache.basis)
+        for got, want in ((grad_coeff, layer.spline_scale[..., None] * gb),
+                          (grad_scale, np.sum(gb * layer.spline_coeff, axis=-1))):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestInit:
     def test_same_seed_bit_identical(self):
         a = init_params("full", 5, 4, grid=GRID, seed=42)

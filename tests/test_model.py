@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectralkan import (DenseLayer, FullKanLayer, Model, ModelConfig,
-                         SharedKanLayer, Variant, build_model,
-                         load_checkpoint, save_checkpoint)
+                         PatchSet, SharedKanLayer, TrainConfig, Variant,
+                         build_model, load_checkpoint, save_checkpoint, train)
+from spectralkan import layers
 from spectralkan.errors import (ContractError, DataError, DomainError,
                                 MalformedHeaderError, TruncatedPayloadError)
 
-from oracles import eval_model_scalar
+from oracles import backward_every_input_grad, eval_model_scalar
 
 
 def config_d(bands=155, variant=Variant.SPECTRAL_KAN):
@@ -185,6 +187,59 @@ class TestForward:
         logits, caches = model.forward(np.zeros((2, 3, 3, 4)))
         with pytest.raises(ContractError):
             model.backward(caches[:-1], logits)
+
+
+class TestBackwardInputGrad:
+    @pytest.mark.parametrize("variant,kan_layers", [
+        (Variant.SPECTRAL_KAN, 4), (Variant.KAN_SS, 4),
+        (Variant.KAN, 2), (Variant.KAN_ENC, 2)])
+    def test_first_layer_takes_no_basis_derivatives(self, variant, kan_layers,
+                                                    monkeypatch):
+        model = build_model(tiny_config(variant), seed=0)
+        patches = np.random.default_rng(1).uniform(-1, 1, (3, 3, 3, 4))
+        logits, caches = model.forward(patches)
+        calls = []
+        original = layers.basis_derivatives
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(layers, "basis_derivatives", counted)
+        model.backward(caches, logits)
+        assert len(model.layers()) == kan_layers
+        assert len(calls) == kan_layers - 1
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_training_matches_backward_with_every_input_grad(self, variant):
+        rng = np.random.default_rng(2)
+        data = PatchSet(rng.uniform(-1, 1, (10, 3, 3, 4)),
+                        rng.integers(0, 2, 10).astype(np.int64))
+        config = TrainConfig(epochs=2, batch_size=4, seed=3)
+        model = build_model(tiny_config(variant), seed=6)
+        reference = build_model(tiny_config(variant), seed=6)
+        reference.backward = lambda caches, g: backward_every_input_grad(
+            reference, caches, g)
+        train(model, data, config)
+        train(reference, data, config)
+        for got, want in zip(model.parameters(), reference.parameters()):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("variant,mib", [(Variant.KAN, 16),
+                                             (Variant.KAN_ENC, 8)])
+    def test_backward_peak_memory(self, variant, mib):
+        # The first layer's input gradient, (64, 3875) plus its dense
+        # (64, 3875, 8) basis derivatives, took 61.5 and 44.7 MiB.
+        model = build_model(config_d(variant=variant), seed=0)
+        patches = np.random.default_rng(3).uniform(-1, 1, (64, 5, 5, 155))
+        logits, caches = model.forward(patches)
+        tracemalloc.start()
+        try:
+            model.backward(caches, logits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2 ** 20
 
 
 class TestAccounting:
