@@ -1,7 +1,8 @@
 """Command-line pipeline: synthesize, train, evaluate, count, gradcheck.
 
 ``train`` and ``eval`` hold one scene cube, the normalized difference of
-the two epochs, and report on the same held-out split.
+the two epochs built in the array the first epoch is read into, and
+report on the same held-out split.
 
 Exit codes: 0 on success, 2 for configuration/contract problems, 3 for
 dataset or file problems, 4 for a failed numerical check. Option
@@ -11,15 +12,19 @@ precedence is flags over ``--config`` JSON values over built-in defaults.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
+# ``difference`` is not called here; it stays importable as ``cli.difference``
+# for the benchmark jobs, which difference in memory through this module.
 from .data import (HsiCube, LabelMap, difference, extract_patches,
                    load_cube, load_labels, normalize, patch_set, save_cube,
-                   save_labels, save_pgm, stratified_split, synth_dataset)
+                   save_labels, save_pgm, stratified_split, subtract_cube,
+                   synth_dataset)
 from .errors import ContractError, DataError, DomainError, UndefinedMetricError
 from .metrics import report, tally
 from .model import (Model, ModelConfig, Variant, build_model, load_checkpoint,
@@ -33,6 +38,18 @@ _TRAIN_FRACTION = 0.01
 
 # Float64 values (2 MiB) that one prediction batch may build in any layer.
 _BATCH_VALUES = 2 ** 18
+
+# glibc's malloc(3) parameters, fixed when ``main`` starts. By default the
+# mmap and trim thresholds follow the largest block freed so far, so
+# whether each prediction batch page-faults its memory afresh would hang
+# on which arrays happened to be freed before it.
+_MALLOC_THRESHOLDS = ((-3, 32 << 20),  # M_MMAP_THRESHOLD
+                      (-1, 64 << 20))  # M_TRIM_THRESHOLD
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+except (AttributeError, OSError, TypeError):  # no mallopt: not glibc
+    _mallopt = None
 
 
 def _parse_nodes(value) -> list[int] | None:
@@ -96,10 +113,11 @@ def _model_config(args, bands: int) -> ModelConfig:
 
 
 def _load_scene(args) -> tuple[HsiCube, LabelMap]:
-    """The label map, then the normalized difference cube; the epoch cubes
-    are freed as soon as they are differenced."""
+    """The label map, then the normalized difference cube, built in the
+    array that ``load_cube`` reads the first epoch into."""
     labels = load_labels(args.labels)
-    cube = normalize(difference(load_cube(args.t1), load_cube(args.t2)))
+    cube = subtract_cube(load_cube(args.t1), args.t2)
+    cube = normalize(cube, out=cube.values)
     if (labels.height, labels.width) != (cube.height, cube.width):
         raise ContractError(
             f"label map {labels.height}x{labels.width} does not match cube "
@@ -331,6 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if _mallopt is not None:
+        for param, value in _MALLOC_THRESHOLDS:
+            _mallopt(param, value)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -9,6 +9,12 @@ File formats (the sole ingestion path for real datasets):
 * Label map: binary PGM (P5, maxval 255) whose pixel values are the
   labels themselves: 0 unchanged, 1 changed, 255 unknown.
 
+The difference cube can be built in one buffer: ``load_cube`` reads the
+first epoch, ``subtract_cube`` streams the second epoch's payload into it
+in 1 MiB blocks, and ``normalize(cube, out=cube.values)`` maps it to
+[-1, 1] in place. The bytes equal ``normalize(difference(x1, x2))``, the
+in-memory definition, while only one cube is ever held.
+
 Patches are windows centered on the classified pixel; positions falling
 outside the raster are filled by mirroring across the image boundary
 (the edge row/column is duplicated next to itself). For patches larger
@@ -29,6 +35,7 @@ from .errors import (ContractError, DataError, DimensionOverflowError,
 
 UNKNOWN = 255
 _MAX_ELEMENTS = 1 << 40  # reject absurd header dimensions before allocating
+_BLOCK_BYTES = 1 << 20  # payload read per step when subtracting a cube file
 
 
 @dataclass
@@ -115,15 +122,23 @@ def difference(x1: HsiCube, x2: HsiCube) -> HsiCube:
     return HsiCube(x1.values - x2.values)
 
 
-def normalize(cube: HsiCube) -> HsiCube:
-    """Affinely map each band to [-1, 1]; constant bands map to 0."""
+def normalize(cube: HsiCube, out: np.ndarray | None = None) -> HsiCube:
+    """Affinely map each band to [-1, 1]; constant bands map to 0.
+
+    ``out``, a float32 array of the cube's shape, receives the result; it
+    may be ``cube.values`` itself. The same float32 operations run in the
+    same order either way, so the bits do not depend on ``out``.
+    """
     v = cube.values
     lo = v.min(axis=(0, 1))
     hi = v.max(axis=(0, 1))
     span = hi - lo
     flat = span == 0
     safe = np.where(flat, 1.0, span).astype(np.float32)
-    out = 2.0 * ((v - lo) / safe) - 1.0
+    out = np.subtract(v, lo, out=out)
+    out /= safe
+    out *= 2.0
+    out -= 1.0
     out[:, :, flat] = 0.0
     return HsiCube(out)
 
@@ -270,10 +285,9 @@ def save_cube(cube: HsiCube, header_path) -> None:
     (header_path.parent / payload_name).write_bytes(data.tobytes())
 
 
-def load_cube(header_path) -> HsiCube:
-    """Check the header, then the payload's size, then read the payload once
-    into the cube's array; any payload fault is a ``DataError``."""
-    header_path = Path(header_path)
+def _checked_payload(header_path: Path) -> tuple[tuple[int, int, int], Path]:
+    """The cube shape and payload path from a header, after checking the
+    header's fields and the payload's size; nothing of the payload is read."""
     try:
         header = json.loads(header_path.read_text())
     except (RecursionError, ValueError) as exc:
@@ -301,16 +315,64 @@ def load_cube(header_path) -> HsiCube:
     expected = h * w * b * 4
     try:
         found = payload_path.stat().st_size
-        if found != expected:
-            raise TruncatedPayloadError(
-                f"{payload_path}: expected {expected} bytes, found {found}")
-        values = np.fromfile(payload_path, dtype="<f4").reshape(h, w, b)
     except (OSError, ValueError) as exc:
-        # A payload that is missing, a directory, named with a NUL or short.
-        raise DataError(f"{payload_path}: cannot read payload: {exc}") from exc
+        raise _unreadable(payload_path, exc) from exc
+    if found != expected:
+        raise TruncatedPayloadError(
+            f"{payload_path}: expected {expected} bytes, found {found}")
+    return (h, w, b), payload_path
+
+
+def _unreadable(payload_path: Path, reason) -> DataError:
+    # A payload that is missing, a directory, named with a NUL or short.
+    return DataError(f"{payload_path}: cannot read payload: {reason}")
+
+
+def _non_finite(payload_path: Path) -> DataError:
+    return DataError(f"{payload_path}: payload contains non-finite values")
+
+
+def load_cube(header_path) -> HsiCube:
+    """Check the header, then the payload's size, then read the payload once
+    into the cube's array; any payload fault is a ``DataError``."""
+    shape, payload_path = _checked_payload(Path(header_path))
+    try:
+        values = np.fromfile(payload_path, dtype="<f4").reshape(shape)
+    except (OSError, ValueError) as exc:
+        raise _unreadable(payload_path, exc) from exc
     if not np.all(np.isfinite(values)):
-        raise DataError(f"{payload_path}: payload contains non-finite values")
+        raise _non_finite(payload_path)
     return HsiCube(values)
+
+
+def subtract_cube(cube: HsiCube, header_path) -> HsiCube:
+    """``difference(cube, load_cube(header_path))``, built in ``cube``'s array.
+
+    The second cube's header and payload size are checked as ``load_cube``
+    checks them; its payload is then read in ``_BLOCK_BYTES`` blocks, each
+    checked for non-finite values and subtracted in place, so no second
+    cube is ever held. A difference that overflows float32 raises only
+    once every block is read, so a non-finite payload value wins over it.
+    ``cube`` must not be used afterwards: its array holds the difference.
+    """
+    shape, payload_path = _checked_payload(Path(header_path))
+    if cube.values.shape != shape:
+        raise ContractError(f"cube shapes differ: {cube.values.shape} vs {shape}")
+    flat = cube.values.reshape(-1)  # a view: load_cube's array is C-contiguous
+    block = np.empty(_BLOCK_BYTES // 4, dtype="<f4")
+    try:
+        with open(payload_path, "rb") as fh, np.errstate(over="ignore"):
+            for start in range(0, flat.size, block.size):
+                part = block[:flat.size - start]
+                if fh.readinto(part) != part.nbytes:
+                    raise _unreadable(payload_path, "payload ends early")
+                if not np.all(np.isfinite(part)):
+                    raise _non_finite(payload_path)
+                target = flat[start:start + part.size]
+                np.subtract(target, part, out=target)
+    except OSError as exc:
+        raise _unreadable(payload_path, exc) from exc
+    return HsiCube(flat.reshape(shape))
 
 
 # ---------------------------------------------------------------------------

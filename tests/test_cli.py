@@ -1,17 +1,19 @@
+import argparse
 import json
+import shutil
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from spectralkan import (LabelMap, Variant, build_model, difference,
-                         extract_patches, load_checkpoint, load_labels,
-                         make_grid, ModelConfig, normalize, save_checkpoint,
-                         synth_dataset)
+from spectralkan import (HsiCube, LabelMap, Variant, build_model, difference,
+                         extract_patches, load_checkpoint, load_cube,
+                         load_labels, make_grid, ModelConfig, normalize,
+                         save_checkpoint, synth_dataset)
 from spectralkan import cli
 from spectralkan.cli import _batch_size, build_parser, main, predict_at
-from spectralkan.data import save_labels
+from spectralkan.data import save_cube, save_labels
 from spectralkan.errors import DataError, MalformedHeaderError
 
 
@@ -253,6 +255,64 @@ class TestErrorPaths:
         assert main(args) == 2
 
 
+def write_payload(header_path, values):
+    """Replace a cube file's payload, non-finite values included."""
+    raw = header_path.with_suffix(".raw")
+    raw.write_bytes(np.asarray(values, dtype="<f4").tobytes())
+
+
+def break_t2(scene, fault):
+    """Give the scene's second epoch one fault."""
+    t1, t2 = scene / "t1.json", scene / "t2.json"
+    if fault == "malformed-header":
+        t2.write_text("{broken")
+    elif fault == "short-payload":
+        raw = scene / "t2.raw"
+        raw.write_bytes(raw.read_bytes()[:-4])
+    elif fault == "nan":
+        values = load_cube(t2).values
+        values[20, 3, 5] = np.nan
+        write_payload(t2, values)
+    elif fault == "shape":
+        save_cube(HsiCube(load_cube(t2).values[:, :, :6]), t2)
+    elif fault == "overflow":
+        v1, v2 = load_cube(t1).values, load_cube(t2).values
+        v1[2, 9, 4], v2[2, 9, 4] = 3e38, -3e38
+        write_payload(t1, v1)
+        write_payload(t2, v2)
+
+
+class TestSecondEpochFaults:
+    """Each fault in t2 gives ``train`` and ``eval`` the exit code and
+    message that loading and differencing both epochs in memory gives."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, dataset, tmp_path_factory):
+        run = tmp_path_factory.mktemp("t2run")
+        assert main(train_args(dataset, run, FAST_TRAIN)) == 0
+        return run / "model.ckpt"
+
+    @pytest.mark.parametrize("fault,code,message", [
+        ("malformed-header", 3, "t2.json: invalid JSON"),
+        ("short-payload", 3, "t2.raw: expected 18432 bytes, found 18428"),
+        ("nan", 3, "t2.raw: payload contains non-finite values"),
+        ("shape", 2, "cube shapes differ: (24, 24, 8) vs (24, 24, 6)"),
+        ("overflow", 2, "error: cube values must be finite"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_exit_code_and_message(self, dataset, checkpoint, tmp_path, capsys,
+                                   command, fault, code, message):
+        scene = tmp_path / "scene"
+        shutil.copytree(dataset, scene)
+        break_t2(scene, fault)
+        out = tmp_path / "out"
+        argv = (train_args(scene, out, FAST_TRAIN) if command == "train"
+                else eval_args(scene, checkpoint, out))
+        capsys.readouterr()
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
+
+
 def corrupt_checkpoint(path, how, value=None):
     """Rewrite one field of a saved checkpoint, keeping the rest intact."""
     blob = path.read_bytes()
@@ -336,24 +396,67 @@ class TestCorruptCheckpoint:
         assert main(eval_args(dataset, ckpt, tmp_path / "ev")) == 3
 
 
+def scene_args(data):
+    return argparse.Namespace(t1=data / "t1.json", t2=data / "t2.json",
+                              labels=data / "labels.pgm")
+
+
+class TestLoadScene:
+    @pytest.mark.parametrize("h,w,b,constant_band", [
+        (70, 70, 155, None),  # three 1 MiB blocks, the last one partial
+        (6, 5, 7, None),      # under one block
+        (40, 40, 200, 3),     # two blocks, with a constant band
+    ])
+    def test_bytes_of_the_in_memory_pipeline(self, tmp_path, h, w, b, constant_band):
+        x1, x2, labels = synth_dataset(h, w, b, seed=4)
+        if constant_band is not None:
+            x1.values[:, :, constant_band] = 1.5
+            x2.values[:, :, constant_band] = 0.25
+        save_cube(x1, tmp_path / "t1.json")
+        save_cube(x2, tmp_path / "t2.json")
+        save_labels(labels, tmp_path / "labels.pgm")
+        args = scene_args(tmp_path)
+        expected = normalize(difference(load_cube(args.t1), load_cube(args.t2)))
+        cube, _ = cli._load_scene(args)
+        assert cube.values.dtype == np.float32
+        assert cube.values.tobytes() == expected.values.tobytes()
+
+
 class TestSceneMemory:
-    def test_train_and_eval_hold_at_most_four_cubes(self, tmp_path):
-        """The epoch cubes are freed once differenced, so neither command
-        holds much more than the difference cube and its transient copies."""
-        h, w, b = 128, 128, 96
-        data = tmp_path / "scene"
-        assert main(["synth", "--height", str(h), "--width", str(w),
-                     "--bands", str(b), "--out-dir", str(data)]) == 0
+    h, w, b = 128, 128, 96
+    cube_bytes = h * w * b * 4
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("memscene")
+        assert main(["synth", "--height", str(self.h), "--width", str(self.w),
+                     "--bands", str(self.b), "--out-dir", str(data)]) == 0
+        return data
+
+    @staticmethod
+    def peak(call, *args):
+        tracemalloc.start()
+        try:
+            result = call(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_load_scene_holds_one_cube_and_a_half(self, data):
+        """The difference is built in the first epoch's array, with the
+        second epoch streamed into it, and normalized in place."""
+        _, peak = self.peak(cli._load_scene, scene_args(data))
+        assert peak <= 1.5 * self.cube_bytes, peak / self.cube_bytes
+
+    def test_train_and_eval_hold_at_most_four_cubes(self, data, tmp_path):
+        """Neither command holds much more than the difference cube and
+        its transient copies."""
         run = tmp_path / "run"
         for argv in (train_args(data, run, ["--variant", "mlp-ss", "--epochs", "2"]),
                      eval_args(data, run / "model.ckpt", tmp_path / "ev")):
-            tracemalloc.start()
-            try:
-                assert main(argv) == 0
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 4 * h * w * b * 4, (argv[0], peak / (h * w * b * 4))
+            code, peak = self.peak(main, argv)
+            assert code == 0
+            assert peak <= 4 * self.cube_bytes, (argv[0], peak / self.cube_bytes)
 
 
 def ablation_model(variant, bands, seed=0):
@@ -464,6 +567,18 @@ class TestCount:
 
     def test_missing_bands_is_config_error(self):
         assert main(["count", "--variant", "kan"]) == 2
+
+
+class TestMallocThresholds:
+    def test_main_fixes_mmap_and_trim_thresholds(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "_mallopt", lambda *args: calls.append(args))
+        assert main(["count", "--bands", "8"]) == 0
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_main_runs_without_mallopt(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_mallopt", None)
+        assert main(["count", "--bands", "8"]) == 0
 
 
 class TestGradcheck:

@@ -10,8 +10,9 @@ from spectralkan import (HsiCube, LabelMap, difference, extract_patches,
                          load_cube, load_labels, normalize, patch_set,
                          save_cube, save_labels, stratified_split,
                          synth_dataset)
+from spectralkan import data
 from spectralkan.cli import main
-from spectralkan.data import load_pgm, save_pgm
+from spectralkan.data import load_pgm, save_pgm, subtract_cube
 from spectralkan.errors import (ContractError, DataError,
                                 DimensionOverflowError, DomainError,
                                 MalformedHeaderError, TruncatedPayloadError)
@@ -86,6 +87,16 @@ class TestNormalize:
         flat_out = out[:, :, 1].ravel()
         order = np.argsort(flat_in, kind="stable")
         assert np.all(np.diff(flat_out[order]) >= 0)
+
+    @pytest.mark.parametrize("shape", [(6, 7, 3), (70, 70, 155)])
+    def test_out_gives_the_default_bytes_in_that_buffer(self, shape):
+        values = 40.0 * random_cube(*shape, seed=6).values
+        values[:, :, 1] = 2.5  # a constant band
+        expected = normalize(HsiCube(values)).values
+        buf = values.copy()
+        out = normalize(HsiCube(buf), out=buf)
+        assert out.values is buf
+        assert buf.tobytes() == expected.tobytes()
 
 
 class TestPatches:
@@ -338,6 +349,101 @@ class TestCubeFiles:
             load_cube(tmp_path / "c.json")
 
 
+def write_cube(values, header_path):
+    """A cube file holding ``values``, non-finite ones included."""
+    save_cube(HsiCube(np.zeros_like(values)), header_path)
+    header_path.with_suffix(".raw").write_bytes(values.astype("<f4").tobytes())
+    return header_path
+
+
+class TestSubtractCube:
+    """``subtract_cube`` gives ``difference``'s bytes in the first cube's
+    array, and puts the second cube file through ``load_cube``'s checks."""
+
+    BLOCK = data._BLOCK_BYTES // 4
+
+    @pytest.mark.parametrize("shape", [
+        (3, 4, 5),        # under one block
+        (64, 64, 64),     # exactly one block
+        (128, 64, 64),    # exactly two blocks
+        (70, 70, 155),    # three blocks, the last one partial
+    ])
+    def test_matches_difference_in_the_first_array(self, tmp_path, shape):
+        x1, x2 = random_cube(*shape, seed=1), random_cube(*shape, seed=2)
+        expected = difference(x1, x2).values
+        out = subtract_cube(x1, write_cube(x2.values, tmp_path / "t2.json"))
+        assert np.shares_memory(out.values, x1.values)
+        assert out.values.tobytes() == expected.tobytes()
+
+    @staticmethod
+    def pair(tmp_path, shape=(70, 70, 155)):
+        x1, x2 = random_cube(*shape, seed=3), random_cube(*shape, seed=4)
+        return x1.values, x2.values, tmp_path / "t2.json"
+
+    def test_non_finite_value_in_a_later_block_is_data_error(self, tmp_path):
+        v1, v2, t2 = self.pair(tmp_path)
+        v2.reshape(-1)[2 * self.BLOCK + 5] = np.inf
+        write_cube(v2, t2)
+        with pytest.raises(DataError, match="payload contains non-finite values"):
+            subtract_cube(HsiCube(v1), t2)
+
+    def test_overflow_is_domain_error(self, tmp_path):
+        v1, v2, t2 = self.pair(tmp_path)
+        v1.reshape(-1)[self.BLOCK + 1], v2.reshape(-1)[self.BLOCK + 1] = 3e38, -3e38
+        with pytest.raises(DomainError, match="cube values must be finite"):
+            subtract_cube(HsiCube(v1), write_cube(v2, t2))
+
+    def test_non_finite_value_wins_over_an_earlier_overflow(self, tmp_path):
+        v1, v2, t2 = self.pair(tmp_path)
+        v1.reshape(-1)[7], v2.reshape(-1)[7] = 3e38, -3e38
+        v2.reshape(-1)[-1] = np.nan
+        with pytest.raises(DataError, match="payload contains non-finite values"):
+            subtract_cube(HsiCube(v1), write_cube(v2, t2))
+
+    def test_shape_mismatch_is_contract_error(self, tmp_path):
+        t2 = write_cube(random_cube(3, 4, 6).values, tmp_path / "t2.json")
+        with pytest.raises(ContractError, match="cube shapes differ"):
+            subtract_cube(random_cube(3, 4, 5), t2)
+
+    @pytest.mark.parametrize("edit", [
+        {"dtype": "f64le"}, {"order": "band-sequential"}, {"height": 0},
+        {"height": 1 << 30, "width": 1 << 30}, {"bands": 5.0},
+        {"payload": "missing.raw"}, {"payload": "."}, {"payload": "t1.raw"},
+    ])
+    def test_header_faults_are_load_cubes(self, tmp_path, edit):
+        write_cube(random_cube(3, 4, 2).values, tmp_path / "t1.json")
+        t2 = write_cube(random_cube(3, 4, 5).values, tmp_path / "t2.json")
+        header = json.loads(t2.read_text())
+        t2.write_text(json.dumps({**header, **edit}))
+        with pytest.raises(DataError) as expected:
+            load_cube(t2)
+        with pytest.raises(type(expected.value)) as got:
+            subtract_cube(random_cube(3, 4, 5), t2)
+        assert str(got.value) == str(expected.value)
+
+    def test_short_payload_is_truncated_payload_error(self, tmp_path):
+        t2 = write_cube(random_cube(3, 4, 5).values, tmp_path / "t2.json")
+        raw = tmp_path / "t2.raw"
+        raw.write_bytes(raw.read_bytes()[:-4])
+        with pytest.raises(TruncatedPayloadError, match="expected 240 bytes, found 236"):
+            subtract_cube(random_cube(3, 4, 5), t2)
+
+    def test_payload_short_after_size_check_is_data_error(self, tmp_path, monkeypatch):
+        t2 = write_cube(random_cube(3, 4, 5).values, tmp_path / "t2.json")
+        checked = data._checked_payload
+
+        def check_then_shrink(path):
+            # The payload loses its last value between the size check and the read.
+            shape, payload = checked(path)
+            with open(payload, "r+b") as fh:
+                fh.truncate(236)
+            return shape, payload
+
+        monkeypatch.setattr(data, "_checked_payload", check_then_shrink)
+        with pytest.raises(DataError, match="cannot read payload: payload ends early"):
+            subtract_cube(random_cube(3, 4, 5), t2)
+
+
 class TestPgm:
     def test_label_round_trip(self, tmp_path):
         grid = np.array([[0, 1, 255], [1, 0, 0]], dtype=np.uint8)
@@ -416,7 +522,10 @@ class TestMutatedFiles:
         edited.write_bytes(text)
         try:
             cube = load_cube(edited)
-        except DataError:
+        except DataError as exc:
+            # As the second epoch, the header fails the same check.
+            with pytest.raises(type(exc)):
+                subtract_cube(load_cube(scene / "t1.json"), edited)
             assert self.train_exit(scene, edited, scene / "labels.pgm") == 3
             return
         header = json.loads(text)
@@ -424,6 +533,13 @@ class TestMutatedFiles:
         assert cube.values.shape == dims
         payload = (scene / str(header["payload"])).read_bytes()
         assert cube.values.astype("<f4").tobytes() == payload
+        x1 = load_cube(scene / "t1.json")
+        if x1.values.shape != dims:
+            with pytest.raises(ContractError, match="cube shapes differ"):
+                subtract_cube(x1, edited)
+        else:
+            expected = difference(x1, cube).values
+            assert subtract_cube(x1, edited).values.tobytes() == expected.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), value=st.one_of(
