@@ -113,9 +113,12 @@ def _model_config(args, bands: int) -> ModelConfig:
 
 
 def _load_scene(args) -> tuple[HsiCube, LabelMap]:
-    """The label map, then the normalized difference cube, built in the
-    array that ``load_cube`` reads the first epoch into."""
+    """The label map, checked to hold a known pixel before either epoch is
+    read, then the normalized difference cube, built in the array that
+    ``load_cube`` reads the first epoch into."""
     labels = load_labels(args.labels)
+    if len(labels.known_coords()) == 0:
+        raise DataError("no evaluable pixels: every label is unknown")
     cube = subtract_cube(load_cube(args.t1), args.t2)
     cube = normalize(cube, out=cube.values)
     if (labels.height, labels.width) != (cube.height, cube.width):
@@ -217,8 +220,6 @@ def cmd_eval(args) -> int:
         raise ContractError(
             f"checkpoint expects {model.config.bands} bands, dataset has {cube.bands}")
     known = labels.known_coords()
-    if len(known) == 0:
-        raise DataError("no evaluable pixels: every label is unknown")
     # Metrics are reported on the held-out split, so evaluating right after
     # training reproduces its report; a bad split fails before prediction.
     test = stratified_split(labels, args.train_fraction, args.seed).test_indices
@@ -265,7 +266,7 @@ def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
     patches = rng.uniform(-0.9, 0.9, size=(8, p, p, b))
     labels = np.arange(8) % 2
-    err = gradient_check(model, patches, labels, step=1e-6)
+    err = gradient_check(model, patches, labels)
     status = "PASS" if err <= args.threshold else "FAIL"
     print(f"gradcheck variant={config.variant.value} params={model.total_params()} "
           f"max_rel_err={err:.3e} threshold={args.threshold:.1e}: {status}")
@@ -278,73 +279,50 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spatial-spectral KAN change detection for bi-temporal "
                     "hyperspectral cubes.")
     sub = parser.add_subparsers(dest="command", required=True)
-    variants = [v.value for v in Variant]
-    variant = ModelConfig.variant.value
 
-    sy = sub.add_parser("synth", help="write a synthetic bi-temporal dataset")
-    sy.add_argument("--height", type=int, default=64)
-    sy.add_argument("--width", type=int, default=64)
-    sy.add_argument("--bands", type=int, default=30)
-    sy.add_argument("--change-fraction", type=float, default=0.3)
-    sy.add_argument("--noise-sigma", type=float, default=0.1)
-    sy.add_argument("--seed", type=int, default=0)
-    sy.add_argument("--out-dir", required=True)
-    sy.set_defaults(func=cmd_synth)
+    def command(name, func, text):
+        cmd = sub.add_parser(name, help=text)
+        cmd.set_defaults(func=func, command_parser=cmd)
+        return cmd
 
-    tr = sub.add_parser("train", help="train a variant and evaluate the test split")
-    tr.add_argument("t1", help="first-epoch cube header (.json)")
-    tr.add_argument("t2", help="second-epoch cube header (.json)")
-    tr.add_argument("labels", help="ground-truth PGM")
-    tr.add_argument("--config", help="JSON file with option defaults")
-    tr.add_argument("--variant", choices=variants, default=variant)
-    tr.add_argument("--patch-size", type=int, dest="patch_size",
-                    default=ModelConfig.patch_size)
-    tr.add_argument("--spatial-nodes", dest="spatial_nodes")
-    tr.add_argument("--spectral-nodes", dest="spectral_nodes")
-    tr.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    tr.add_argument("--batch-size", type=int, dest="batch_size",
-                    default=TrainConfig.batch_size)
-    tr.add_argument("--lr", type=float, default=TrainConfig.base_lr)
-    tr.add_argument("--decay-factor", type=float, dest="decay_factor",
-                    default=TrainConfig.decay_factor)
-    tr.add_argument("--decay-every", type=int, dest="decay_every",
-                    default=TrainConfig.decay_every)
-    tr.add_argument("--train-fraction", type=float, dest="train_fraction",
-                    default=_TRAIN_FRACTION)
-    tr.add_argument("--seed", type=int, default=TrainConfig.seed)
-    tr.add_argument("--out-dir", required=True)
-    tr.set_defaults(func=cmd_train, command_parser=tr)
+    sy = command("synth", cmd_synth, "write a synthetic bi-temporal dataset")
+    tr = command("train", cmd_train, "train a variant and evaluate the test split")
+    ev = command("eval", cmd_eval, "evaluate a checkpoint and render the change map")
+    ct = command("count", cmd_count, "report per-layer parameter/FLOP accounting")
+    gc = command("gradcheck", cmd_gradcheck, "finite-difference check of a tiny model")
 
-    ev = sub.add_parser("eval", help="evaluate a checkpoint and render the change map")
-    ev.add_argument("checkpoint")
-    ev.add_argument("t1")
-    ev.add_argument("t2")
-    ev.add_argument("labels")
-    ev.add_argument("--config", help="JSON file with option defaults")
-    ev.add_argument("--train-fraction", type=float, dest="train_fraction",
-                    default=_TRAIN_FRACTION,
-                    help="fraction used to reconstruct the held-out split")
-    ev.add_argument("--seed", type=int, default=TrainConfig.seed)
-    ev.add_argument("--out-dir", required=True)
-    ev.set_defaults(func=cmd_eval, command_parser=ev)
+    def add(commands, *names, **kwargs):
+        # One declaration for every command that takes the argument; the
+        # calls run in --help order.
+        for cmd in commands:
+            cmd.add_argument(*names, **kwargs)
 
-    ct = sub.add_parser("count", help="report per-layer parameter/FLOP accounting")
-    ct.add_argument("--config", help="JSON file with option defaults")
-    ct.add_argument("--variant", choices=variants, default=variant)
-    ct.add_argument("--bands", type=int)
-    ct.add_argument("--patch-size", type=int, dest="patch_size",
-                    default=ModelConfig.patch_size)
-    ct.add_argument("--spatial-nodes", dest="spatial_nodes")
-    ct.add_argument("--spectral-nodes", dest="spectral_nodes")
-    ct.set_defaults(func=cmd_count, command_parser=ct)
-
-    gc = sub.add_parser("gradcheck", help="finite-difference check of a tiny model")
-    gc.add_argument("--config", help="JSON file with option defaults")
-    gc.add_argument("--variant", choices=variants, default=variant)
-    gc.add_argument("--threshold", type=float, default=1e-4)
-    gc.add_argument("--seed", type=int, default=0)
-    gc.set_defaults(func=cmd_gradcheck, command_parser=gc)
-
+    add([sy], "--height", type=int, default=64)
+    add([sy], "--width", type=int, default=64)
+    add([sy], "--bands", type=int, default=30)
+    add([sy], "--change-fraction", type=float, default=0.3)
+    add([sy], "--noise-sigma", type=float, default=0.1)
+    add([ev], "checkpoint")
+    add([tr, ev], "t1", help="first-epoch cube header (.json)")
+    add([tr, ev], "t2", help="second-epoch cube header (.json)")
+    add([tr, ev], "labels", help="ground-truth PGM")
+    add([tr, ev, ct, gc], "--config", help="JSON file with option defaults")
+    add([tr, ct, gc], "--variant", choices=[v.value for v in Variant],
+        default=ModelConfig.variant.value)
+    add([ct], "--bands", type=int)
+    add([gc], "--threshold", type=float, default=1e-4)
+    add([tr, ct], "--patch-size", type=int, default=ModelConfig.patch_size)
+    add([tr, ct], "--spatial-nodes")
+    add([tr, ct], "--spectral-nodes")
+    add([tr], "--epochs", type=int, default=TrainConfig.epochs)
+    add([tr], "--batch-size", type=int, default=TrainConfig.batch_size)
+    add([tr], "--lr", type=float, default=TrainConfig.base_lr)
+    add([tr], "--decay-factor", type=float, default=TrainConfig.decay_factor)
+    add([tr], "--decay-every", type=int, default=TrainConfig.decay_every)
+    add([tr, ev], "--train-fraction", type=float, default=_TRAIN_FRACTION,
+        help="share of each class trained on; eval rebuilds the same held-out split")
+    add([sy, tr, ev, gc], "--seed", type=int, default=TrainConfig.seed)
+    add([sy, tr, ev], "--out-dir", required=True)
     return parser
 
 

@@ -9,11 +9,11 @@ File formats (the sole ingestion path for real datasets):
 * Label map: binary PGM (P5, maxval 255) whose pixel values are the
   labels themselves: 0 unchanged, 1 changed, 255 unknown.
 
-The difference cube can be built in one buffer: ``load_cube`` reads the
-first epoch, ``subtract_cube`` streams the second epoch's payload into it
-in 1 MiB blocks, and ``normalize(cube, out=cube.values)`` maps it to
-[-1, 1] in place. The bytes equal ``normalize(difference(x1, x2))``, the
-in-memory definition, while only one cube is ever held.
+Both epochs' payloads go through one reader, in 1 MiB blocks each checked
+for non-finite values: ``load_cube`` copies them into a new cube and
+``subtract_cube`` subtracts them from an existing one in place. With
+``normalize(cube, out=cube.values)`` the difference cube is built in one
+buffer, with the bytes of ``normalize(difference(x1, x2))``.
 
 Patches are windows centered on the classified pixel; positions falling
 outside the raster are filled by mirroring across the image boundary
@@ -35,7 +35,7 @@ from .errors import (ContractError, DataError, DimensionOverflowError,
 
 UNKNOWN = 255
 _MAX_ELEMENTS = 1 << 40  # reject absurd header dimensions before allocating
-_BLOCK_BYTES = 1 << 20  # payload read per step when subtracting a cube file
+_BLOCK_BYTES = 1 << 20  # cube payload read per step
 
 
 @dataclass
@@ -125,6 +125,8 @@ def difference(x1: HsiCube, x2: HsiCube) -> HsiCube:
 def normalize(cube: HsiCube, out: np.ndarray | None = None) -> HsiCube:
     """Affinely map each band to [-1, 1]; constant bands map to 0.
 
+    A band whose span ``max - min`` overflows float32 is a ``DomainError``.
+
     ``out``, a float32 array of the cube's shape, receives the result; it
     may be ``cube.values`` itself. The same float32 operations run in the
     same order either way, so the bits do not depend on ``out``.
@@ -132,7 +134,13 @@ def normalize(cube: HsiCube, out: np.ndarray | None = None) -> HsiCube:
     v = cube.values
     lo = v.min(axis=(0, 1))
     hi = v.max(axis=(0, 1))
-    span = hi - lo
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    wide = np.flatnonzero(np.isinf(span))
+    if wide.size:
+        b = wide[0]
+        raise DomainError(
+            f"band {b} spans [{lo[b]!s}, {hi[b]!s}], wider than float32 holds")
     flat = span == 0
     safe = np.where(flat, 1.0, span).astype(np.float32)
     out = np.subtract(v, lo, out=out)
@@ -328,50 +336,48 @@ def _unreadable(payload_path: Path, reason) -> DataError:
     return DataError(f"{payload_path}: cannot read payload: {reason}")
 
 
-def _non_finite(payload_path: Path) -> DataError:
-    return DataError(f"{payload_path}: payload contains non-finite values")
+def _read_payload(payload_path: Path, target: np.ndarray, step) -> None:
+    """Read the payload in ``_BLOCK_BYTES`` blocks, check each for
+    non-finite values, then apply it to its part of the flat array
+    ``target`` with ``step(part_of_target, block)``."""
+    block = np.empty(_BLOCK_BYTES // 4, dtype="<f4")
+    try:
+        with open(payload_path, "rb") as fh, np.errstate(over="ignore"):
+            for start in range(0, target.size, block.size):
+                part = block[:target.size - start]
+                if fh.readinto(part) != part.nbytes:
+                    raise _unreadable(payload_path, "payload ends early")
+                if not np.all(np.isfinite(part)):
+                    raise DataError(
+                        f"{payload_path}: payload contains non-finite values")
+                step(target[start:start + part.size], part)
+    except OSError as exc:
+        raise _unreadable(payload_path, exc) from exc
 
 
 def load_cube(header_path) -> HsiCube:
-    """Check the header, then the payload's size, then read the payload once
+    """Check the header, then the payload's size, then copy the payload
     into the cube's array; any payload fault is a ``DataError``."""
     shape, payload_path = _checked_payload(Path(header_path))
-    try:
-        values = np.fromfile(payload_path, dtype="<f4").reshape(shape)
-    except (OSError, ValueError) as exc:
-        raise _unreadable(payload_path, exc) from exc
-    if not np.all(np.isfinite(values)):
-        raise _non_finite(payload_path)
+    values = np.empty(shape, dtype=np.float32)
+    _read_payload(payload_path, values.reshape(-1), np.copyto)
     return HsiCube(values)
 
 
 def subtract_cube(cube: HsiCube, header_path) -> HsiCube:
     """``difference(cube, load_cube(header_path))``, built in ``cube``'s array.
 
-    The second cube's header and payload size are checked as ``load_cube``
-    checks them; its payload is then read in ``_BLOCK_BYTES`` blocks, each
-    checked for non-finite values and subtracted in place, so no second
-    cube is ever held. A difference that overflows float32 raises only
-    once every block is read, so a non-finite payload value wins over it.
-    ``cube`` must not be used afterwards: its array holds the difference.
+    The second cube file goes through ``load_cube``'s checks, and its
+    blocks are subtracted in place, so no second cube is ever held. A
+    difference that overflows float32 raises only once every block is
+    read, so a non-finite payload value wins over it. ``cube`` must not be
+    used afterwards: its array holds the difference.
     """
     shape, payload_path = _checked_payload(Path(header_path))
     if cube.values.shape != shape:
         raise ContractError(f"cube shapes differ: {cube.values.shape} vs {shape}")
     flat = cube.values.reshape(-1)  # a view: load_cube's array is C-contiguous
-    block = np.empty(_BLOCK_BYTES // 4, dtype="<f4")
-    try:
-        with open(payload_path, "rb") as fh, np.errstate(over="ignore"):
-            for start in range(0, flat.size, block.size):
-                part = block[:flat.size - start]
-                if fh.readinto(part) != part.nbytes:
-                    raise _unreadable(payload_path, "payload ends early")
-                if not np.all(np.isfinite(part)):
-                    raise _non_finite(payload_path)
-                target = flat[start:start + part.size]
-                np.subtract(target, part, out=target)
-    except OSError as exc:
-        raise _unreadable(payload_path, exc) from exc
+    _read_payload(payload_path, flat, lambda t, part: np.subtract(t, part, out=t))
     return HsiCube(flat.reshape(shape))
 
 
@@ -426,7 +432,8 @@ def save_labels(labels: LabelMap, path) -> None:
 
 
 def load_labels(path) -> LabelMap:
-    grid = load_pgm(path)
-    if not np.all(np.isin(grid, (0, 1, UNKNOWN))):
-        raise DataError(f"{path}: label values must be 0, 1 or 255")
-    return LabelMap(grid)
+    try:
+        # load_pgm's grid is 2-D with positive dims: only a value can fail.
+        return LabelMap(load_pgm(path))
+    except ContractError as exc:
+        raise DataError(f"{path}: label values must be 0, 1 or 255") from exc

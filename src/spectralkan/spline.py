@@ -32,7 +32,7 @@ class SplineGrid:
     """Degree, span count and domain of the shared basis.
 
     ``knots`` has ``grid_size + 2*degree + 1`` strictly increasing entries,
-    at most ``_MAX_KNOTS``, with uniform spacing ``(hi - lo) / grid_size``.
+    at most ``_MAX_KNOTS``, with uniform ``spacing``.
     """
 
     degree: int
@@ -44,6 +44,11 @@ class SplineGrid:
     @property
     def basis_count(self) -> int:
         return self.grid_size + self.degree
+
+    @property
+    def spacing(self) -> float:
+        """The uniform knot spacing ``h``."""
+        return (self.hi - self.lo) / self.grid_size
 
 
 def make_grid(degree: int = 3, grid_size: int = 5,
@@ -86,7 +91,7 @@ def _span_offset(grid: SplineGrid, x: np.ndarray):
     the knot range first keeps the arithmetic finite for any finite input.
     """
     t = grid.knots
-    h = (grid.hi - grid.lo) / grid.grid_size
+    h = grid.spacing
     xc = np.clip(x, t[0], t[-1])
     span = ((xc - t[0]) / h).astype(np.intp)
     np.minimum(span, len(t) - 2, out=span)
@@ -168,5 +173,5 @@ def basis_derivatives(grid: SplineGrid, x) -> np.ndarray:
     d = np.zeros((k + 1,) + u.shape)
     d[1:] = lower
     d[:-1] -= lower
-    d /= (grid.hi - grid.lo) / grid.grid_size
+    d /= grid.spacing
     return _dense(grid, x.shape, span, d)

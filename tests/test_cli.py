@@ -15,6 +15,7 @@ from spectralkan import cli
 from spectralkan.cli import _batch_size, build_parser, main, predict_at
 from spectralkan.data import save_cube, save_labels
 from spectralkan.errors import DataError, MalformedHeaderError
+from spectralkan.training import TrainConfig
 
 
 SYNTH_ARGS = ["synth", "--height", "24", "--width", "24", "--bands", "8",
@@ -86,6 +87,41 @@ class TestDefaults:
             "--train-fraction", "0.1", "--seed", "9", "--out-dir", "d"])
         assert args.variant == "kan-ss"
         assert args.spatial_nodes == "9,4,1"
+
+    # Arguments taken by several commands, with the commands that take them.
+    SHARED = {
+        "t1": {"train", "eval"}, "t2": {"train", "eval"},
+        "labels": {"train", "eval"},
+        "--config": {"train", "eval", "count", "gradcheck"},
+        "--variant": {"train", "count", "gradcheck"},
+        "--patch-size": {"train", "count"}, "--spatial-nodes": {"train", "count"},
+        "--spectral-nodes": {"train", "count"},
+        "--train-fraction": {"train", "eval"},
+        "--seed": {"synth", "train", "eval", "gradcheck"},
+        "--out-dir": {"synth", "train", "eval"},
+        # synth's scene size (default 30) and count's required band count.
+        "--bands": {"synth", "count"},
+    }
+
+    def test_shared_arguments_agree_across_commands(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        taken = {}
+        for command, parser in sub.choices.items():
+            for action in parser._actions:
+                if action.dest != "help":
+                    name = (action.option_strings or [action.dest])[0]
+                    taken.setdefault(name, {})[command] = (
+                        action.dest, action.type, action.default, action.choices,
+                        action.required, action.help)
+        shared = {name: by_command for name, by_command in taken.items()
+                  if len(by_command) > 1}
+        assert {name: set(by) for name, by in shared.items()} == self.SHARED
+        for name, by_command in shared.items():
+            first, *rest = by_command.values()
+            if name != "--bands":
+                assert all(fields == first for fields in rest), (name, by_command)
+        assert taken["--seed"]["synth"][2] == TrainConfig.seed
 
 
 class TestTrainEval:
@@ -194,15 +230,22 @@ class TestErrorPaths:
         code = main(eval_args(other, run / "model.ckpt", tmp_path / "ev"))
         assert code == 2
 
-    def test_all_unknown_labels_is_data_error(self, dataset, tmp_path):
-        run = tmp_path / "run"
-        assert main(train_args(dataset, run, FAST_TRAIN)) == 0
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_all_unknown_labels_is_data_error(self, dataset, tmp_path, monkeypatch,
+                                              capsys, command):
         unknown = LabelMap(np.full((24, 24), 255, dtype=np.uint8))
         save_labels(unknown, tmp_path / "unknown.pgm")
-        args = ["eval", str(run / "model.ckpt"), str(dataset / "t1.json"),
-                str(dataset / "t2.json"), str(tmp_path / "unknown.pgm"),
-                "--out-dir", str(tmp_path / "ev")]
+        args = [command, str(dataset / "t1.json"), str(dataset / "t2.json"),
+                str(tmp_path / "unknown.pgm"), "--out-dir", str(tmp_path / "ev")]
+        if command == "eval":
+            run = tmp_path / "run"
+            assert main(train_args(dataset, run, FAST_TRAIN)) == 0
+            args.insert(1, str(run / "model.ckpt"))
+        # The label map is checked before either epoch is read.
+        monkeypatch.setattr(cli, "load_cube", lambda path: pytest.fail(f"read {path}"))
+        capsys.readouterr()
         assert main(args) == 3
+        assert "every label is unknown" in capsys.readouterr().err
 
     def test_bad_split_fails_before_prediction(self, dataset, tmp_path, monkeypatch):
         run = tmp_path / "run"
@@ -275,6 +318,10 @@ def break_t2(scene, fault):
         write_payload(t2, values)
     elif fault == "shape":
         save_cube(HsiCube(load_cube(t2).values[:, :, :6]), t2)
+    elif fault == "wide-band":
+        values = load_cube(t2).values
+        values[0, 0, 5], values[1, 1, 5] = 2e38, -2e38
+        write_payload(t2, values)
     elif fault == "overflow":
         v1, v2 = load_cube(t1).values, load_cube(t2).values
         v1[2, 9, 4], v2[2, 9, 4] = 3e38, -3e38
@@ -298,6 +345,7 @@ class TestSecondEpochFaults:
         ("nan", 3, "t2.raw: payload contains non-finite values"),
         ("shape", 2, "cube shapes differ: (24, 24, 8) vs (24, 24, 6)"),
         ("overflow", 2, "error: cube values must be finite"),
+        ("wide-band", 2, "error: band 5 spans ["),
     ])
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_exit_code_and_message(self, dataset, checkpoint, tmp_path, capsys,

@@ -88,6 +88,13 @@ class TestNormalize:
         order = np.argsort(flat_in, kind="stable")
         assert np.all(np.diff(flat_out[order]) >= 0)
 
+    @pytest.mark.parametrize("band", [0, 2])
+    def test_span_past_float32_is_domain_error_naming_the_band(self, band):
+        values = np.zeros((2, 2, 3), dtype=np.float32)
+        values[0, 0, band], values[1, 1, band] = 2e38, -2e38
+        with pytest.raises(DomainError, match=rf"^band {band} spans \["):
+            normalize(HsiCube(values))
+
     @pytest.mark.parametrize("shape", [(6, 7, 3), (70, 70, 155)])
     def test_out_gives_the_default_bytes_in_that_buffer(self, shape):
         values = 40.0 * random_cube(*shape, seed=6).values
@@ -294,19 +301,24 @@ class TestCubeFiles:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_payload_short_after_size_check_is_data_error(self, tmp_path, monkeypatch):
-        save_cube(random_cube(2, 2, 2), tmp_path / "c.json")
-        fromfile = np.fromfile
+    @pytest.mark.parametrize("read", [
+        load_cube, lambda path: subtract_cube(random_cube(3, 4, 5), path)],
+        ids=["load_cube", "subtract_cube"])
+    def test_payload_short_after_size_check_is_data_error(self, tmp_path,
+                                                          monkeypatch, read):
+        save_cube(random_cube(3, 4, 5), tmp_path / "c.json")
+        checked = data._checked_payload
 
-        def shrink_then_read(path, **kwargs):
+        def check_then_shrink(path):
             # The payload loses its last value between the size check and the read.
-            with open(path, "r+b") as fh:
-                fh.truncate(28)
-            return fromfile(path, **kwargs)
+            shape, payload = checked(path)
+            with open(payload, "r+b") as fh:
+                fh.truncate(236)
+            return shape, payload
 
-        monkeypatch.setattr(np, "fromfile", shrink_then_read)
-        with pytest.raises(DataError, match="cannot read payload"):
-            load_cube(tmp_path / "c.json")
+        monkeypatch.setattr(data, "_checked_payload", check_then_shrink)
+        with pytest.raises(DataError, match="cannot read payload: payload ends early"):
+            read(tmp_path / "c.json")
 
     def test_zero_dims_rejected(self, tmp_path):
         save_cube(random_cube(2, 2, 2), tmp_path / "c.json")
@@ -426,21 +438,6 @@ class TestSubtractCube:
         raw = tmp_path / "t2.raw"
         raw.write_bytes(raw.read_bytes()[:-4])
         with pytest.raises(TruncatedPayloadError, match="expected 240 bytes, found 236"):
-            subtract_cube(random_cube(3, 4, 5), t2)
-
-    def test_payload_short_after_size_check_is_data_error(self, tmp_path, monkeypatch):
-        t2 = write_cube(random_cube(3, 4, 5).values, tmp_path / "t2.json")
-        checked = data._checked_payload
-
-        def check_then_shrink(path):
-            # The payload loses its last value between the size check and the read.
-            shape, payload = checked(path)
-            with open(payload, "r+b") as fh:
-                fh.truncate(236)
-            return shape, payload
-
-        monkeypatch.setattr(data, "_checked_payload", check_then_shrink)
-        with pytest.raises(DataError, match="cannot read payload: payload ends early"):
             subtract_cube(random_cube(3, 4, 5), t2)
 
 
