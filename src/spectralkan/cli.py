@@ -24,7 +24,7 @@ import numpy as np
 from .data import (HsiCube, LabelMap, difference, extract_patches,
                    load_cube, load_labels, normalize, patch_set, save_cube,
                    save_labels, save_pgm, stratified_split, subtract_cube,
-                   synth_dataset)
+                   synth_dataset, _checked_payload)
 from .errors import ContractError, DataError, DomainError, UndefinedMetricError
 from .metrics import report, tally
 from .model import (Model, ModelConfig, Variant, build_model, load_checkpoint,
@@ -112,13 +112,20 @@ def _model_config(args, bands: int) -> ModelConfig:
                        spectral_nodes=_parse_nodes(args.spectral_nodes))
 
 
-def _load_scene(args) -> tuple[HsiCube, LabelMap]:
+def _load_scene(args, bands: int | None = None) -> tuple[HsiCube, LabelMap]:
     """The label map, checked to hold a known pixel before either epoch is
     read, then the normalized difference cube, built in the array that
-    ``load_cube`` reads the first epoch into."""
+    ``load_cube`` reads the first epoch into. A checkpoint's band count,
+    if given as ``bands``, is compared with t1's header before any payload
+    is read."""
     labels = load_labels(args.labels)
     if len(labels.known_coords()) == 0:
         raise DataError("no evaluable pixels: every label is unknown")
+    if bands is not None:
+        (_, _, found), _ = _checked_payload(Path(args.t1))
+        if found != bands:
+            raise ContractError(
+                f"checkpoint expects {bands} bands, dataset has {found}")
     cube = subtract_cube(load_cube(args.t1), args.t2)
     cube = normalize(cube, out=cube.values)
     if (labels.height, labels.width) != (cube.height, cube.width):
@@ -215,10 +222,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    cube, labels = _load_scene(args)
-    if model.config.bands != cube.bands:
-        raise ContractError(
-            f"checkpoint expects {model.config.bands} bands, dataset has {cube.bands}")
+    cube, labels = _load_scene(args, bands=model.config.bands)
     known = labels.known_coords()
     # Metrics are reported on the held-out split, so evaluating right after
     # training reproduces its report; a bad split fails before prediction.

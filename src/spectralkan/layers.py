@@ -24,6 +24,16 @@ soon as the layer is done. A layer's parameter count is the total size of
 its ``params()``. FLOP counts follow a fixed cost convention: SiLU costs
 4, a spline evaluation 96, and each weight multiplication 1, per scalar
 input element.
+
+``FullKanLayer.forward`` forms both of its products, the SiLU path and
+the spline contraction over the flattened ``(d_in, basis)`` axis, as one
+identical BLAS call per batch row (``_row_invariant_matmul``). A plain
+``batch @ W.T`` goes through a kernel whose rounding of a row depends on
+the batch size and the row's position, so a pixel's logits would move
+with the prediction batch it lands in; the per-row call keeps every row's
+bits fixed. The other layers still use the plain products. The forward
+pass keeps ``spline_scale * spline_coeff`` in its cache for the backward
+pass to reuse.
 """
 
 from __future__ import annotations
@@ -68,6 +78,7 @@ class LayerCache:
     act: Optional[np.ndarray] = None
     basis: Optional[np.ndarray] = None
     spline_vals: Optional[np.ndarray] = None
+    weighted: Optional[np.ndarray] = None
     pre_act: Optional[np.ndarray] = None
 
 
@@ -90,6 +101,13 @@ def _check_cache(layer, cache: LayerCache, grad_out) -> np.ndarray:
         raise ContractError(
             f"expected upstream gradient of shape {expected}, got {grad_out.shape}")
     return grad_out
+
+
+def _row_invariant_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a 2-D ``a``, computed as one identical BLAS product
+    per row of ``a``, so a row's result does not depend on where it sits
+    in the batch or on how many rows there are."""
+    return np.matmul(a.reshape(a.shape[0], 1, a.shape[1]), b)[:, 0]
 
 
 class _KanLayer:
@@ -134,10 +152,15 @@ class FullKanLayer(_KanLayer):
         act = x * sig
         basis = basis_values(self.grid, x)  # (batch, d_in, S)
         weighted = self.spline_scale[..., None] * self.spline_coeff
-        out = act @ self.base_weight.T + np.einsum("nit,jit->nj", basis, weighted)
+        # The width is explicit so that an empty batch reshapes too.
+        width = self.d_in * self.grid.basis_count
+        out = _row_invariant_matmul(act, self.base_weight.T)
+        out += _row_invariant_matmul(basis.reshape(x.shape[0], width),
+                                     weighted.reshape(self.d_out, width).T)
         if not keep:
             return out, None
-        return out, LayerCache(self, x, sig=sig, act=act, basis=basis)
+        return out, LayerCache(self, x, sig=sig, act=act, basis=basis,
+                               weighted=weighted)
 
     def backward(self, cache: LayerCache, grad_out, input_grad: bool = True):
         g = _check_cache(self, cache, grad_out)
@@ -154,10 +177,9 @@ class FullKanLayer(_KanLayer):
         if not input_grad:
             return None, grads
         dbasis = basis_derivatives(self.grid, x)
-        weighted = self.spline_scale[..., None] * self.spline_coeff
-        spline_dx = (g @ weighted.reshape(self.d_out, width)).reshape(basis.shape)
+        spline_dx = (g @ cache.weighted.reshape(self.d_out, width)).reshape(basis.shape)
         grad_in = (g @ self.base_weight) * _silu_grad(x, sig)
-        grad_in += np.sum(spline_dx * dbasis, axis=-1)
+        grad_in += np.einsum("nit,nit->ni", spline_dx, dbasis)
         return grad_in, grads
 
 

@@ -2,17 +2,36 @@
 
 Every learnable activation in the network is a linear combination of the
 basis functions produced here. The knot vector is uniform over
-``[lo, hi]`` and extended ``degree`` spans beyond each side, which gives
-``grid_size + degree`` basis functions. Inputs outside the domain are
-evaluated as-is, with no clamping or grid adaptation.
+``[lo, hi]`` with spacing ``h = (hi - lo) / grid_size`` and extended
+``degree`` spans beyond each side, which gives ``grid_size + degree``
+basis functions. Inputs outside the domain are evaluated as-is, with no
+clamping or grid adaptation.
 
 Evaluation is local, as in de Boor's BSPLVB: each input ``x`` lies in one
 knot span ``s`` with ``knots[s] <= x < knots[s+1]``, and only the
 ``degree + 1`` basis functions ``s - degree .. s`` are nonzero there.
-Their values follow from the recursion on the fractional offset
-``(x - knots[s]) / h`` and are written into the dense result, whose other
-entries are exact zeros. Inputs outside ``[knots[0], knots[-1])`` lie in
-no span, and every basis function is exactly zero there.
+Inputs outside ``[knots[0], knots[-1])`` lie in no span, and every basis
+function is exactly zero there. The kernel makes three kinds of pass over
+the flattened input, each an array operation written in place where it
+can be:
+
+1. *Span and offset.* ``x`` is bounded to the knot range, the span is
+   estimated from the spacing and corrected by one comparison with the
+   knot on each side, and the offset is ``u = min((x - knots[s]) / h, 1)``.
+2. *Weights.* The recursion runs on ``u`` with weights ``w`` starting at
+   ``[1.0]``; for ``j = 1 .. degree`` and ``r = 0 .. j-1`` it computes
+   ``temp = w[r] / j``, ``w[r] = saved + (r + 1 - u) * temp`` and
+   ``saved = (u + (j - 1 - r)) * temp``, with ``saved = 0.0`` at the
+   start of each ``j`` and ``w[j] = saved`` at its end. The code starts
+   from the ``j = 1`` result ``[1 - u, u + 0]`` and skips adding the
+   ``0.0``, which changes no bit, since every term is non-negative and
+   ``u + 0`` turns an offset of ``-0.0`` into ``+0.0``. A derivative is
+   ``(v[r-1] - v[r]) / h`` over the degree-``(k-1)`` weights ``v``, a
+   missing one counting as ``0.0``.
+3. *Scatter.* Weight ``r`` goes to column ``s - degree + r`` of a zero
+   result. One test of the column, viewed as unsigned, against
+   ``basis_count`` finds every column outside ``0 .. basis_count - 1``,
+   negative ones included; their writes go to a spare slot past the result.
 """
 
 from __future__ import annotations
@@ -87,17 +106,22 @@ def _span_offset(grid: SplineGrid, x: np.ndarray):
     The span obeys ``knots[s] <= x < knots[s+1]``; it is -1 below the
     knots and ``len(knots) - 1`` at or above the last one. The estimate
     from the uniform spacing can be one off next to a knot, so one
-    comparison with the knots on each side settles it. Clipping ``x`` to
+    comparison with the knots on each side settles it. Bounding ``x`` to
     the knot range first keeps the arithmetic finite for any finite input.
     """
     t = grid.knots
     h = grid.spacing
-    xc = np.clip(x, t[0], t[-1])
-    span = ((xc - t[0]) / h).astype(np.intp)
+    xc = np.maximum(x, t[0])
+    np.minimum(xc, t[-1], out=xc)
+    u = np.subtract(xc, t[0])
+    u /= h
+    span = u.astype(np.intp)
     np.minimum(span, len(t) - 2, out=span)
-    span -= x < t[span]
-    span += x >= t[span + 1]
-    u = xc - t[np.clip(span, 0, len(t) - 2)]
+    span -= x < t.take(span)
+    span += x >= t.take(span + 1)
+    # A span outside the knots gets an offset from the end knot; every
+    # weight of such an input is dropped, so its value does not matter.
+    np.subtract(xc, t.take(span, mode="clip"), out=u)
     u /= h
     # The knots are rounded multiples of h, so just below knots[s+1] the
     # offset can round past 1 and turn a weight slightly negative.
@@ -110,17 +134,27 @@ def _local_basis(u: np.ndarray, degree: int) -> np.ndarray:
 
     ``w[r]`` is the value of function ``s - degree + r`` at offset ``u``
     into span ``s``; on uniform knots every denominator of the recursion
-    is ``j`` spacings.
+    is ``j`` spacings. Each step writes its weight in place, and the
+    recursion starts from its degree-1 result ``[1 - u, u + 0]``.
     """
     w = np.empty((degree + 1,) + u.shape)
-    w[0] = 1.0
-    for j in range(1, degree + 1):
-        saved = 0.0
+    if degree == 0:
+        w[0] = 1.0
+        return w
+    np.subtract(1.0, u, out=w[0])
+    np.add(u, 0.0, out=w[1])  # -0.0 becomes +0.0, as in the step it replaces
+    temp, saved = np.empty_like(u), np.empty_like(u)
+    for j in range(2, degree + 1):
         for r in range(j):
-            temp = w[r] / j
-            w[r] = saved + (r + 1 - u) * temp
-            saved = (u + (j - 1 - r)) * temp
-        w[j] = saved
+            np.divide(w[r], j, out=temp)
+            np.subtract(r + 1, u, out=w[r])
+            w[r] *= temp
+            if r:
+                w[r] += saved
+            # The last step's ``saved`` is the new weight w[j].
+            out = w[j] if r == j - 1 else saved
+            np.add(u, j - 1 - r, out=out)
+            out *= temp
     return w
 
 
@@ -134,14 +168,22 @@ def _dense(grid: SplineGrid, shape: tuple, span: np.ndarray,
     """
     nb = grid.basis_count
     n = span.size
-    flat = np.zeros(n * nb + 1)
-    first = span - grid.degree
-    row = np.arange(0, n * nb, nb)
+    spare = n * nb
+    flat = np.zeros(spare + 1)
+    col = span - grid.degree
+    # ``base + spare`` is the flat index of each input's column ``col``,
+    # so zeroing ``base`` where the column is outside points to the spare.
+    base = np.arange(-spare, 0, nb)
+    base += col
+    idx = np.empty_like(base)
+    inside = np.empty(n, dtype=bool)
     for r in range(grid.degree + 1):
-        col = first + r
-        idx = row + col
-        np.copyto(idx, n * nb, where=(col < 0) | (col >= nb))
+        np.less(col.view(np.uintp), nb, out=inside)
+        np.multiply(base, inside, out=idx)
+        idx += spare
         flat[idx] = w[r]
+        col += 1
+        base += 1
     return flat[:-1].reshape(shape + (nb,))
 
 
@@ -170,8 +212,9 @@ def basis_derivatives(grid: SplineGrid, x) -> np.ndarray:
         return np.zeros(x.shape + (grid.basis_count,), dtype=np.float64)
     span, u = _span_offset(grid, x.reshape(-1))
     lower = _local_basis(u, k - 1)
-    d = np.zeros((k + 1,) + u.shape)
-    d[1:] = lower
-    d[:-1] -= lower
+    d = np.empty((k + 1,) + u.shape)
+    np.subtract(0.0, lower[0], out=d[0])
+    np.subtract(lower[:-1], lower[1:], out=d[1:-1])
+    d[k] = lower[k - 1]
     d /= grid.spacing
     return _dense(grid, x.shape, span, d)

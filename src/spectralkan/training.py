@@ -87,21 +87,40 @@ class AdamState:
 
 def adam_step(state: AdamState, params: list[np.ndarray],
               grads: list[np.ndarray], lr: float) -> None:
-    """Standard bias-corrected Adam update, applied to ``params`` in place."""
+    """Standard bias-corrected Adam update, applied to ``params`` in place.
+
+    Per element, in this order: ``m += (1 - b1) * (g - m)``,
+    ``v += (1 - b2) * (g * g - v)``, then
+    ``p -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)``. Each
+    step runs in place in two scratch buffers the size of the largest
+    parameter, so no temporary of any parameter's size is allocated.
+    """
     if len(params) != len(state.m) or len(grads) != len(state.m):
         raise ContractError("parameter/gradient lists do not match the state")
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     state.step += 1
     t = state.step
+    largest = max((p.size for p in params), default=0)
+    scratch = np.empty(largest), np.empty(largest)
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape or p.shape != m.shape:
             raise ContractError(
                 f"gradient shape {g.shape} does not match parameter {p.shape}")
-        m += (1.0 - b1) * (g - m)
-        v += (1.0 - b2) * (g * g - v)
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        step, denom = (buf[:p.size].reshape(p.shape) for buf in scratch)
+        np.subtract(g, m, out=step)
+        step *= 1.0 - b1
+        m += step
+        np.multiply(g, g, out=step)
+        step -= v
+        step *= 1.0 - b2
+        v += step
+        np.divide(v, 1.0 - b2 ** t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        np.divide(m, 1.0 - b1 ** t, out=step)
+        step *= lr
+        step /= denom
+        p -= step
 
 
 @dataclass

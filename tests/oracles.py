@@ -146,3 +146,66 @@ def backward_every_input_grad(model, caches, grad_logits):
         g, layer_grads = layers[i].backward(caches[i], g, input_grad=True)
         grads[:0] = layer_grads
     return grads
+
+
+def scalar_bsplvb(grid, x: float, derivative: bool = False) -> np.ndarray:
+    """All basis values (or first derivatives) at one float ``x``, by de
+    Boor's span search and BSPLVB recursion in plain Python floats.
+
+    Each operation follows the order that the ``spectralkan.spline``
+    docstring states, so the result is expected to match the package's
+    bit for bit, signed zeros included. The span is found by a linear
+    search over the knots, not from the spacing.
+    """
+    x = float(x)
+    knots = [float(t) for t in grid.knots]
+    k = grid.degree
+    h = (grid.hi - grid.lo) / grid.grid_size
+    out = [0.0] * (grid.grid_size + k)
+    if derivative and k == 0:
+        return np.array(out)
+    span = next((s for s in range(len(knots) - 1)
+                 if knots[s] <= x < knots[s + 1]), None)
+    if span is None:
+        return np.array(out)
+    u = min((x - knots[span]) / h, 1.0)
+    w = [1.0]
+    for j in range(1, k if derivative else k + 1):
+        saved = 0.0
+        for r in range(j):
+            temp = w[r] / j
+            w[r] = saved + (r + 1 - u) * temp
+            saved = (u + (j - 1 - r)) * temp
+        w.append(saved)
+    if derivative:
+        # Function r is the degree-(k-1) function r - 1 minus function r,
+        # a missing one counting as 0.0, over the spacing.
+        w = [((w[r - 1] if r > 0 else 0.0) - (w[r] if r < k else 0.0)) / h
+             for r in range(k + 1)]
+    for r, value in enumerate(w):
+        col = span - k + r
+        if 0 <= col < len(out):
+            out[col] = value
+    return np.array(out)
+
+
+def scalar_adam(params, grad_steps, lrs, b1=0.9, b2=0.999, eps=1e-8):
+    """Bias-corrected Adam (Kingma and Ba) over every element in Python
+    floats: the parameter values after one step per gradient list.
+
+    Per element, in the order that ``spectralkan.training.adam_step``
+    states: ``m += (1 - b1) * (g - m)``, ``v += (1 - b2) * (g*g - v)``,
+    then ``p -= lr * m_hat / (sqrt(v_hat) + eps)``.
+    """
+    flat = [[float(x) for x in np.asarray(p).reshape(-1)] for p in params]
+    m = [[0.0] * len(p) for p in flat]
+    v = [[0.0] * len(p) for p in flat]
+    for t, (grads, lr) in enumerate(zip(grad_steps, lrs), start=1):
+        for p, g, mt, vt in zip(flat, grads, m, v):
+            for i, gi in enumerate(float(x) for x in np.asarray(g).reshape(-1)):
+                mt[i] = mt[i] + (1.0 - b1) * (gi - mt[i])
+                vt[i] = vt[i] + (1.0 - b2) * (gi * gi - vt[i])
+                m_hat = mt[i] / (1.0 - b1 ** t)
+                v_hat = vt[i] / (1.0 - b2 ** t)
+                p[i] = p[i] - lr * m_hat / (math.sqrt(v_hat) + eps)
+    return [np.array(p).reshape(np.shape(q)) for p, q in zip(flat, params)]

@@ -1,8 +1,12 @@
 import argparse
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from spectralkan import (HsiCube, LabelMap, Variant, build_model, difference,
                          load_labels, make_grid, ModelConfig, normalize,
                          save_checkpoint, synth_dataset)
 from spectralkan import cli
+from spectralkan import data as data_mod
 from spectralkan.cli import _batch_size, build_parser, main, predict_at
 from spectralkan.data import save_cube, save_labels
 from spectralkan.errors import DataError, MalformedHeaderError
@@ -229,6 +234,20 @@ class TestErrorPaths:
                      "6", "--seed", "7", "--out-dir", str(other)]) == 0
         code = main(eval_args(other, run / "model.ckpt", tmp_path / "ev"))
         assert code == 2
+
+    def test_band_mismatch_is_found_before_any_payload_is_read(
+            self, dataset, tmp_path, monkeypatch, capsys):
+        run = tmp_path / "run"
+        assert main(train_args(dataset, run, FAST_TRAIN)) == 0
+        other = tmp_path / "other"
+        assert main(["synth", "--height", "24", "--width", "24", "--bands",
+                     "6", "--seed", "7", "--out-dir", str(other)]) == 0
+        monkeypatch.setattr(data_mod, "_read_payload",
+                            lambda path, *args: pytest.fail(f"read {path}"))
+        capsys.readouterr()
+        assert main(eval_args(other, run / "model.ckpt", tmp_path / "ev")) == 2
+        assert ("checkpoint expects 8 bands, dataset has 6"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_all_unknown_labels_is_data_error(self, dataset, tmp_path, monkeypatch,
@@ -615,6 +634,16 @@ class TestCount:
 
     def test_missing_bands_is_config_error(self):
         assert main(["count", "--variant", "kan"]) == 2
+
+
+def test_python_dash_m_runs_the_cli_from_the_source_tree():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "spectralkan", "count",
+                           "--variant", "mlp", "--bands", "3"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["variant"] == "mlp"
 
 
 class TestMallocThresholds:

@@ -74,6 +74,27 @@ class TestForward:
         assert np.all(np.isfinite(out))
 
 
+class TestFullRowInvariance:
+    """A row's full-layer output does not depend on its batch."""
+
+    @pytest.mark.parametrize("d_in,d_out", [(3875, 16), (25, 16), (16, 1)],
+                             ids=["kan-first", "kan-ss-spatial", "kan-ss-last"])
+    def test_row_bits_equal_at_every_batch_size_and_position(self, d_in, d_out):
+        layer = init_params("full", d_in, d_out, grid=GRID, seed=d_in)
+        x = np.random.default_rng(d_out).uniform(-1.3, 1.3, (33, d_in))
+        alone = np.concatenate([layer.forward(x[i:i + 1], keep=False)[0]
+                                for i in range(len(x))])
+        for n in range(1, len(x) + 1):
+            # Distinct rows, each at its own position, then the first row
+            # at every position of a batch of n.
+            out, _ = layer.forward(x[:n], keep=False)
+            np.testing.assert_array_equal(out.view(np.uint64),
+                                          alone[:n].view(np.uint64))
+            out, _ = layer.forward(np.repeat(x[:1], n, axis=0), keep=False)
+            np.testing.assert_array_equal(
+                out.view(np.uint64), np.repeat(alone[:1], n, axis=0).view(np.uint64))
+
+
 def two_branch_sigmoid(x):
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below."""
     out = np.empty_like(x)

@@ -7,7 +7,7 @@ import pytest
 from spectralkan import basis_derivatives, basis_values, make_grid
 from spectralkan.errors import ContractError, DomainError
 
-from oracles import naive_basis, naive_basis_vector
+from oracles import naive_basis, naive_basis_vector, scalar_bsplvb
 
 DEGREES = range(6)
 GRID_SIZES = range(1, 9)
@@ -218,3 +218,36 @@ class TestLocalEvaluator:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * out.nbytes
+
+
+def _bit_points(grid):
+    """Every knot and one float on each side of it, signed zeros, a sweep
+    past both ends, random points inside, and both ends of the float range.
+    On a knot at 0.0 (domain (0, 1), or an even grid on (-1, 1)), -0.0 has
+    offset -0.0, which no basis value may carry into its sign."""
+    t = grid.knots
+    big = np.finfo(np.float64).max
+    rng = np.random.default_rng(grid.degree * 100 + grid.grid_size)
+    return np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+                           [0.0, -0.0, big, -big, 1e300, -1e300],
+                           np.linspace(t[0] - 1.0, t[-1] + 1.0, 41),
+                           rng.uniform(t[0], t[-1], 40)])
+
+
+class TestScalarBsplvbOracle:
+    """The kernel against de Boor's recursion in Python floats, bit for bit."""
+
+    @staticmethod
+    def assert_bits_equal(got, expected):
+        assert got.dtype == expected.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("lo,hi", DOMAINS)
+    @pytest.mark.parametrize("grid_size", GRID_SIZES)
+    @pytest.mark.parametrize("degree", DEGREES)
+    def test_values_and_derivatives_bit_equal(self, degree, grid_size, lo, hi):
+        g = make_grid(degree, grid_size, lo, hi)
+        xs = _bit_points(g)
+        for derivative, fn in ((False, basis_values), (True, basis_derivatives)):
+            expected = np.array([scalar_bsplvb(g, x, derivative) for x in xs])
+            self.assert_bits_equal(fn(g, xs), expected)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from spectralkan import (AdamState, Model, ModelConfig, PatchSet, TrainConfig,
                          lr_at, softmax_cross_entropy, train)
 from spectralkan.errors import ContractError
 
-from oracles import fd_loss_grads, max_rel_err
+from oracles import fd_loss_grads, max_rel_err, scalar_adam
 
 
 def tiny_model(variant=Variant.SPECTRAL_KAN, seed=0):
@@ -112,6 +113,39 @@ class TestAdam:
         state = AdamState(params)
         with pytest.raises(ContractError):
             adam_step(state, params, [np.zeros((3, 2))], lr=0.1)
+
+    def test_bits_equal_scalar_oracle_over_random_steps(self):
+        rng = np.random.default_rng(11)
+        shapes = [(3, 4), (5,), (2, 3, 2), (1, 1)]
+        start = [rng.standard_normal(shape) for shape in shapes]
+        # Gradients from 1e-8 to 1e2 in size, of both signs, and exact zeros.
+        steps = [[rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 2, shape)
+                  * (rng.random(shape) > 0.1) for shape in shapes]
+                 for _ in range(20)]
+        lrs = [1e-3 * 0.9 ** (i // 5) for i in range(20)]
+        params = [p.copy() for p in start]
+        state = AdamState(params)
+        for grads, lr in zip(steps, lrs):
+            adam_step(state, params, grads, lr)
+        for got, expected in zip(params, scalar_adam(start, steps, lrs)):
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          expected.view(np.uint64))
+
+    def test_step_over_kan_peaks_under_two_and_a_half_largest_tensors(self):
+        model = build_model(ModelConfig(variant=Variant.KAN, patch_size=5,
+                                        bands=155), seed=0)
+        params = model.parameters()
+        assert sum(p.size for p in params) == 620_320
+        rng = np.random.default_rng(0)
+        grads = [rng.standard_normal(p.shape) for p in params]
+        state = AdamState(params)
+        tracemalloc.start()
+        try:
+            adam_step(state, params, grads, lr=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * max(p.nbytes for p in params)
 
 
 class TestTrain:
