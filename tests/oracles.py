@@ -191,7 +191,8 @@ def scalar_bsplvb(grid, x: float, derivative: bool = False) -> np.ndarray:
 
 def scalar_adam(params, grad_steps, lrs, b1=0.9, b2=0.999, eps=1e-8):
     """Bias-corrected Adam (Kingma and Ba) over every element in Python
-    floats: the parameter values after one step per gradient list.
+    floats: the parameters and both moment estimates after one step per
+    gradient list.
 
     Per element, in the order that ``spectralkan.training.adam_step``
     states: ``m += (1 - b1) * (g - m)``, ``v += (1 - b2) * (g*g - v)``,
@@ -208,4 +209,5 @@ def scalar_adam(params, grad_steps, lrs, b1=0.9, b2=0.999, eps=1e-8):
                 m_hat = mt[i] / (1.0 - b1 ** t)
                 v_hat = vt[i] / (1.0 - b2 ** t)
                 p[i] = p[i] - lr * m_hat / (math.sqrt(v_hat) + eps)
-    return [np.array(p).reshape(np.shape(q)) for p, q in zip(flat, params)]
+    return [[np.array(a).reshape(np.shape(q)) for a, q in zip(arrays, params)]
+            for arrays in (flat, m, v)]

@@ -127,9 +127,10 @@ class TestAdam:
         state = AdamState(params)
         for grads, lr in zip(steps, lrs):
             adam_step(state, params, grads, lr)
-        for got, expected in zip(params, scalar_adam(start, steps, lrs)):
-            np.testing.assert_array_equal(got.view(np.uint64),
-                                          expected.view(np.uint64))
+        for got, expected in zip((params, state.m, state.v),
+                                 scalar_adam(start, steps, lrs)):
+            for a, b in zip(got, expected):
+                np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_step_over_kan_peaks_under_two_and_a_half_largest_tensors(self):
         model = build_model(ModelConfig(variant=Variant.KAN, patch_size=5,
