@@ -19,7 +19,7 @@ from .layers import DenseLayer, FullKanLayer, SharedKanLayer, init_params
 from .metrics import ConfusionMatrix, kappa, overall_accuracy, report, tally
 from .model import (Model, ModelConfig, Variant, build_model,
                     load_checkpoint, save_checkpoint)
-from .spline import SplineGrid, basis_derivatives, basis_values, make_grid
+from .spline import SplineGrid, basis_derivatives, basis_values
 from .training import (AdamState, TrainConfig, TrainHistory, adam_step,
                        gradient_check, lr_at, softmax_cross_entropy, train)
 
@@ -34,7 +34,7 @@ __all__ = [
     "ConfusionMatrix", "kappa", "overall_accuracy", "report", "tally",
     "Model", "ModelConfig", "Variant", "build_model", "load_checkpoint",
     "save_checkpoint",
-    "SplineGrid", "basis_derivatives", "basis_values", "make_grid",
+    "SplineGrid", "basis_derivatives", "basis_values",
     "AdamState", "TrainConfig", "TrainHistory", "adam_step",
     "gradient_check", "lr_at", "softmax_cross_entropy", "train",
     "__version__",

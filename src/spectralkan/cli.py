@@ -24,7 +24,7 @@ import numpy as np
 from .data import (HsiCube, LabelMap, difference, extract_patches,
                    load_cube, load_labels, normalize, patch_set, save_cube,
                    save_labels, save_pgm, stratified_split, subtract_cube,
-                   synth_dataset, _checked_payload)
+                   synth_dataset, UNKNOWN, _checked_payload)
 from .errors import ContractError, DataError, DomainError, UndefinedMetricError
 from .metrics import report, tally
 from .model import (Model, ModelConfig, Variant, build_model, load_checkpoint,
@@ -119,7 +119,7 @@ def _load_scene(args, bands: int | None = None) -> tuple[HsiCube, LabelMap]:
     if given as ``bands``, is compared with t1's header before any payload
     is read."""
     labels = load_labels(args.labels)
-    if len(labels.known_coords()) == 0:
+    if np.all(labels.labels == UNKNOWN):
         raise DataError("no evaluable pixels: every label is unknown")
     if bands is not None:
         (_, _, found), _ = _checked_payload(Path(args.t1))
@@ -341,6 +341,8 @@ def main(argv=None) -> int:
             # Flags still win: the file only replaces the defaults.
             args.command_parser.set_defaults(**_config_defaults(args))
             args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            raise ContractError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (ContractError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,9 +31,9 @@ identical BLAS call per batch row (``_row_invariant_matmul``). A plain
 ``batch @ W.T`` goes through a kernel whose rounding of a row depends on
 the batch size and the row's position, so a pixel's logits would move
 with the prediction batch it lands in; the per-row call keeps every row's
-bits fixed. The other layers still use the plain products. The forward
-pass keeps ``spline_scale * spline_coeff`` in its cache for the backward
-pass to reuse.
+bits fixed. The other layers still use the plain products. A cache holds
+only per-batch arrays: the backward pass forms ``spline_scale *
+spline_coeff`` again, and only when it builds the input gradient.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .spline import SplineGrid, basis_derivatives, basis_values, make_grid
+from .spline import SplineGrid, basis_derivatives, basis_values
 
 KINDS = ("full", "shared", "dense")
 
@@ -78,7 +78,6 @@ class LayerCache:
     act: Optional[np.ndarray] = None
     basis: Optional[np.ndarray] = None
     spline_vals: Optional[np.ndarray] = None
-    weighted: Optional[np.ndarray] = None
     pre_act: Optional[np.ndarray] = None
 
 
@@ -159,8 +158,7 @@ class FullKanLayer(_KanLayer):
                                      weighted.reshape(self.d_out, width).T)
         if not keep:
             return out, None
-        return out, LayerCache(self, x, sig=sig, act=act, basis=basis,
-                               weighted=weighted)
+        return out, LayerCache(self, x, sig=sig, act=act, basis=basis)
 
     def backward(self, cache: LayerCache, grad_out, input_grad: bool = True):
         g = _check_cache(self, cache, grad_out)
@@ -177,7 +175,8 @@ class FullKanLayer(_KanLayer):
         if not input_grad:
             return None, grads
         dbasis = basis_derivatives(self.grid, x)
-        spline_dx = (g @ cache.weighted.reshape(self.d_out, width)).reshape(basis.shape)
+        weighted = self.spline_scale[..., None] * self.spline_coeff
+        spline_dx = (g @ weighted.reshape(self.d_out, width)).reshape(basis.shape)
         grad_in = (g @ self.base_weight) * _silu_grad(x, sig)
         grad_in += np.einsum("nit,nit->ni", spline_dx, dbasis)
         return grad_in, grads
@@ -268,7 +267,7 @@ class DenseLayer:
 
 
 def init_params(kind: str, d_in: int, d_out: int,
-                grid: Optional[SplineGrid] = None, seed=0, activate: bool = True):
+                grid: SplineGrid = SplineGrid(), seed=0, activate: bool = True):
     """Create a layer of the given kind with Kaiming-uniform parameters.
 
     All weight tensors (and spline coefficients) are drawn uniformly on
@@ -288,8 +287,6 @@ def init_params(kind: str, d_in: int, d_out: int,
 
     if kind == "dense":
         return DenseLayer(draw(d_out, d_in), np.zeros(d_out), activate=activate)
-    if grid is None:
-        grid = make_grid()
     cls = FullKanLayer if kind == "full" else SharedKanLayer
     return cls(draw(d_out, d_in), draw(d_out, d_in),
                draw(*cls._coeff_shape(d_out, d_in, grid.basis_count)), grid)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import (ContractError, DataError, MalformedHeaderError,
                      TruncatedPayloadError)
 from .layers import init_params
-from .spline import SplineGrid, make_grid
+from .spline import SplineGrid
 
 _MAGIC = b"SKAN0001"
 
@@ -77,7 +77,7 @@ class ModelConfig:
     bands: int = 155
     spatial_nodes: Optional[list[int]] = None
     spectral_nodes: Optional[list[int]] = None
-    grid: SplineGrid = field(default_factory=make_grid)
+    grid: SplineGrid = SplineGrid()
 
     def __post_init__(self):
         self.variant = Variant(self.variant)
@@ -270,8 +270,8 @@ def load_checkpoint(path) -> Model:
         header = json.loads(blob[start:start + hlen].decode())
         d = header["config"]
         spline = d["spline"]
-        grid = make_grid(int(spline["degree"]), int(spline["grid_size"]),
-                         float(spline["domain"][0]), float(spline["domain"][1]))
+        grid = SplineGrid(int(spline["degree"]), int(spline["grid_size"]),
+                          float(spline["domain"][0]), float(spline["domain"][1]))
         config = ModelConfig(
             variant=Variant(d["variant"]),
             patch_size=int(d["patch_size"]),

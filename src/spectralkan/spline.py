@@ -50,15 +50,41 @@ _MAX_KNOTS = 4096  # far above any grid in use; bounds what a header can ask for
 class SplineGrid:
     """Degree, span count and domain of the shared basis.
 
-    ``knots`` has ``grid_size + 2*degree + 1`` strictly increasing entries,
-    at most ``_MAX_KNOTS``, with uniform ``spacing``.
+    The four settings are the grid: equality and hashing go by them alone.
+    ``knots``, derived from them and read-only, has
+    ``grid_size + 2*degree + 1`` strictly increasing entries, at most
+    ``_MAX_KNOTS``, with uniform ``spacing``.
     """
 
-    degree: int
-    grid_size: int
-    lo: float
-    hi: float
-    knots: np.ndarray = field(repr=False)
+    degree: int = 3
+    grid_size: int = 5
+    lo: float = -1.0
+    hi: float = 1.0
+    knots: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        degree, grid_size, lo, hi = self.degree, self.grid_size, self.lo, self.hi
+        if degree < 0:
+            raise ContractError(f"degree must be non-negative, got {degree}")
+        if grid_size < 1:
+            raise ContractError(f"grid_size must be positive, got {grid_size}")
+        if grid_size + 2 * degree + 1 > _MAX_KNOTS:
+            raise ContractError(f"grid_size + 2*degree + 1 exceeds {_MAX_KNOTS} knots")
+        if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
+            raise ContractError(f"invalid domain [{lo}, {hi}]")
+        idx = np.arange(-degree, grid_size + degree + 1, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            knots = lo + idx * ((hi - lo) / grid_size)
+            # The span search needs strictly increasing knots whose whole
+            # extent is finite, so that no difference of two of them overflows.
+            if not (np.isfinite(knots[-1] - knots[0]) and np.all(np.diff(knots) > 0)):
+                raise ContractError(f"domain [{lo}, {hi}] gives knots that are not "
+                                    f"strictly increasing within the float range")
+        knots.flags.writeable = False
+        # The dataclass is frozen, so the derived fields go in directly.
+        object.__setattr__(self, "lo", float(lo))
+        object.__setattr__(self, "hi", float(hi))
+        object.__setattr__(self, "knots", knots)
 
     @property
     def basis_count(self) -> int:
@@ -68,29 +94,6 @@ class SplineGrid:
     def spacing(self) -> float:
         """The uniform knot spacing ``h``."""
         return (self.hi - self.lo) / self.grid_size
-
-
-def make_grid(degree: int = 3, grid_size: int = 5,
-              lo: float = -1.0, hi: float = 1.0) -> SplineGrid:
-    """Build the uniform extended knot vector for the given settings."""
-    if degree < 0:
-        raise ContractError(f"degree must be non-negative, got {degree}")
-    if grid_size < 1:
-        raise ContractError(f"grid_size must be positive, got {grid_size}")
-    if grid_size + 2 * degree + 1 > _MAX_KNOTS:
-        raise ContractError(f"grid_size + 2*degree + 1 exceeds {_MAX_KNOTS} knots")
-    if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
-        raise ContractError(f"invalid domain [{lo}, {hi}]")
-    idx = np.arange(-degree, grid_size + degree + 1, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        knots = lo + idx * ((hi - lo) / grid_size)
-        # The span search needs strictly increasing knots whose whole
-        # extent is finite, so that no difference of two of them overflows.
-        if not (np.isfinite(knots[-1] - knots[0]) and np.all(np.diff(knots) > 0)):
-            raise ContractError(f"domain [{lo}, {hi}] gives knots that are not "
-                                f"strictly increasing within the float range")
-    return SplineGrid(degree=degree, grid_size=grid_size, lo=float(lo),
-                      hi=float(hi), knots=knots)
 
 
 def _check_finite(x: np.ndarray) -> np.ndarray:

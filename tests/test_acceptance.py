@@ -11,7 +11,7 @@ import numpy as np
 from spectralkan import (FullKanLayer, ModelConfig, TrainConfig, Variant,
                          basis_derivatives, basis_values, build_model,
                          difference, gradient_check, init_params, kappa,
-                         make_grid, normalize, overall_accuracy, patch_set,
+                         normalize, overall_accuracy, patch_set, SplineGrid,
                          stratified_split, synth_dataset, tally, train)
 from spectralkan.cli import main, predict_at
 
@@ -59,7 +59,7 @@ def test_criterion_1_parameter_tables():
 
 
 def test_criterion_2_flop_difference_identity():
-    grid = make_grid()
+    grid = SplineGrid()
     rng = np.random.default_rng(2)
     for _ in range(20):
         d_in = int(rng.integers(1, 512))
@@ -96,7 +96,7 @@ def test_criterion_3_gradients_for_all_variants():
 
 def test_criterion_4_spline_invariants():
     start = time.perf_counter()
-    grid = make_grid()
+    grid = SplineGrid()
     xs = np.linspace(-1.0, 1.0, 1000)
     partition = np.abs(basis_values(grid, xs).sum(axis=-1) - 1.0).max()
     deriv_sum = np.abs(basis_derivatives(grid, xs).sum(axis=-1)).max()
@@ -110,7 +110,7 @@ def test_criterion_4_spline_invariants():
 
 
 def test_criterion_5_shared_full_equivalence():
-    grid = make_grid()
+    grid = SplineGrid()
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(10):

@@ -13,8 +13,8 @@ import pytest
 
 from spectralkan import (HsiCube, LabelMap, Variant, build_model, difference,
                          extract_patches, load_checkpoint, load_cube,
-                         load_labels, make_grid, ModelConfig, normalize,
-                         save_checkpoint, synth_dataset)
+                         load_labels, ModelConfig, normalize, save_checkpoint,
+                         SplineGrid, synth_dataset)
 from spectralkan import cli
 from spectralkan import data as data_mod
 from spectralkan.cli import _batch_size, build_parser, main, predict_at
@@ -173,7 +173,7 @@ class TestTrainEval:
         trained = load_checkpoint(tmp_path / "model.ckpt")
         config = ModelConfig(variant=Variant.SPECTRAL_KAN, patch_size=5,
                              bands=8, spatial_nodes=[25, 16, 1],
-                             spectral_nodes=[8, 16, 2], grid=make_grid())
+                             spectral_nodes=[8, 16, 2], grid=SplineGrid())
         fresh = build_model(config, seed=5)
         for a, b in zip(trained.parameters(), fresh.parameters()):
             assert np.array_equal(a, b)
@@ -283,6 +283,29 @@ class TestErrorPaths:
         code = main(train_args(dataset, tmp_path / "run", [flag, value]))
         assert code == 2
         assert field in capsys.readouterr().err
+
+    # synth takes no --config.
+    @pytest.mark.parametrize("command,through", [
+        ("synth", "flag"), ("train", "flag"), ("eval", "flag"),
+        ("gradcheck", "flag"), ("train", "config"), ("eval", "config"),
+        ("gradcheck", "config")])
+    def test_negative_seed_is_config_error(self, dataset, tmp_path, capsys,
+                                           command, through):
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(ModelConfig(bands=8)), ckpt)
+        argv = {"synth": ["synth", "--out-dir", str(tmp_path / "out")],
+                "train": train_args(dataset, tmp_path / "out"),
+                "eval": eval_args(dataset, ckpt, tmp_path / "out"),
+                "gradcheck": ["gradcheck"]}[command]
+        if through == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            config = tmp_path / "conf.json"
+            config.write_text(json.dumps({"seed": -1}))
+            argv += ["--config", str(config)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "--seed must be non-negative, got -1" in capsys.readouterr().err
 
     def test_missing_file_is_data_error(self, tmp_path):
         args = ["train", str(tmp_path / "nope.json"), str(tmp_path / "x.json"),
@@ -424,7 +447,7 @@ class TestCorruptCheckpoint:
     def saved(tmp_path, variant=Variant.SPECTRAL_KAN):
         config = ModelConfig(variant=variant, patch_size=5,
                              bands=8, spatial_nodes=[25, 16, 1],
-                             spectral_nodes=[8, 16, 2], grid=make_grid())
+                             spectral_nodes=[8, 16, 2], grid=SplineGrid())
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(build_model(config, seed=1), ckpt)
         return ckpt
@@ -529,7 +552,7 @@ class TestSceneMemory:
 def ablation_model(variant, bands, seed=0):
     config = ModelConfig(variant=variant, patch_size=5, bands=bands,
                          spatial_nodes=[25, 16, 1],
-                         spectral_nodes=[bands, 16, 2], grid=make_grid())
+                         spectral_nodes=[bands, 16, 2], grid=SplineGrid())
     return build_model(config, seed=seed)
 
 

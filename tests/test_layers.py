@@ -4,14 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from spectralkan import (FullKanLayer, SharedKanLayer, init_params,
-                         make_grid)
+from spectralkan import (FullKanLayer, SharedKanLayer, SplineGrid,
+                         init_params)
 from spectralkan.errors import ContractError, DomainError
 from spectralkan.layers import sigmoid
 
 from oracles import fd_loss_grads, max_rel_err
 
-GRID = make_grid()
+GRID = SplineGrid()
 
 
 def shared_as_full(layer: SharedKanLayer) -> FullKanLayer:

@@ -241,6 +241,19 @@ class TestBackwardInputGrad:
             tracemalloc.stop()
         assert peak <= mib * 2 ** 20
 
+    def test_training_forward_retains_only_batch_arrays(self):
+        # kan's caches hold 20.9 MiB at batch 64; a cached copy of its first
+        # layer's spline_scale * spline_coeff (16 x 3875 x 8) made it 24.7.
+        model = build_model(config_d(variant=Variant.KAN), seed=0)
+        patches = np.random.default_rng(3).uniform(-1, 1, (64, 5, 5, 155))
+        tracemalloc.start()
+        try:
+            logits, caches = model.forward(patches)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained <= 22 * 2 ** 20
+
 
 class TestAccounting:
     @pytest.mark.parametrize("bands,expected", [

@@ -11,7 +11,7 @@ PUBLIC = [
     "ConfusionMatrix", "kappa", "overall_accuracy", "report", "tally",
     "Model", "ModelConfig", "Variant", "build_model", "load_checkpoint",
     "save_checkpoint",
-    "SplineGrid", "basis_derivatives", "basis_values", "make_grid",
+    "SplineGrid", "basis_derivatives", "basis_values",
     "AdamState", "TrainConfig", "TrainHistory", "adam_step",
     "gradient_check", "lr_at", "softmax_cross_entropy", "train",
     "__version__",

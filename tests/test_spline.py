@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spectralkan import basis_derivatives, basis_values, make_grid
+from spectralkan import ModelConfig, SplineGrid, basis_derivatives, basis_values
 from spectralkan.errors import ContractError, DomainError
 
 from oracles import naive_basis, naive_basis_vector, scalar_bsplvb
@@ -16,7 +16,7 @@ DOMAINS = [(-1.0, 1.0), (0.0, 1.0), (-3.0, 0.7)]
 
 @pytest.fixture
 def grid():
-    return make_grid(degree=3, grid_size=5, lo=-1.0, hi=1.0)
+    return SplineGrid(degree=3, grid_size=5, lo=-1.0, hi=1.0)
 
 
 class TestGridConstruction:
@@ -41,10 +41,37 @@ class TestGridConstruction:
     ])
     def test_rejects_bad_settings(self, degree, grid_size, lo, hi):
         with pytest.raises(ContractError):
-            make_grid(degree, grid_size, lo, hi)
+            SplineGrid(degree, grid_size, lo, hi)
 
     def test_knot_count_cap_is_inclusive(self):
-        assert make_grid(2045, 5).knots.size == 4096
+        assert SplineGrid(2045, 5).knots.size == 4096
+
+    def test_knots_are_derived_not_settable(self):
+        with pytest.raises(TypeError):
+            SplineGrid(3, 5, -1.0, 1.0, knots=np.linspace(-1.0, 1.0, 12))
+
+    @pytest.mark.parametrize("degree,grid_size,lo,hi", [
+        (3, 5, -1.0, 1.0), (0, 1, 0.0, 1.0), (5, 8, -3.0, 0.7), (2, 7, -1, 2),
+    ])
+    def test_knots_bit_equal_to_uniform_expression(self, degree, grid_size, lo, hi):
+        g = SplineGrid(degree, grid_size, lo, hi)
+        idx = np.arange(-degree, grid_size + degree + 1, dtype=np.float64)
+        expected = lo + idx * ((hi - lo) / grid_size)
+        np.testing.assert_array_equal(g.knots.view(np.uint64),
+                                      expected.view(np.uint64))
+        assert type(g.lo) is float and type(g.hi) is float
+
+    def test_knots_are_read_only(self, grid):
+        with pytest.raises(ValueError):
+            grid.knots[0] = 0.0
+
+    def test_equality_and_hash_go_by_the_four_settings(self):
+        assert SplineGrid() == SplineGrid(3, 5, -1, 1)
+        assert hash(SplineGrid()) == hash(SplineGrid(3, 5, -1, 1))
+        for other in (SplineGrid(degree=2), SplineGrid(grid_size=6),
+                      SplineGrid(lo=-2.0), SplineGrid(hi=2.0)):
+            assert other != SplineGrid()
+        assert ModelConfig() == ModelConfig()
 
 
 class TestBasisValues:
@@ -57,7 +84,7 @@ class TestBasisValues:
         assert np.abs(sums - 1.0).max() <= 1e-12
 
     def test_degree_zero_is_indicator(self):
-        g0 = make_grid(degree=0, grid_size=5)
+        g0 = SplineGrid(degree=0, grid_size=5)
         for x in (-0.9, -0.3, 0.05, 0.77):
             vals = basis_values(g0, x)
             span = int(np.floor((x + 1.0) / 0.4))
@@ -113,7 +140,7 @@ class TestBasisDerivatives:
         assert np.abs(fd - an).max() / np.abs(an).max() <= 1e-6
 
     def test_degree_zero_is_flat(self):
-        g0 = make_grid(degree=0, grid_size=5)
+        g0 = SplineGrid(degree=0, grid_size=5)
         xs = np.array([-0.9, -0.31, 0.05, 0.77])
         assert np.all(basis_derivatives(g0, xs) == 0.0)
 
@@ -156,7 +183,7 @@ class TestLocalEvaluator:
     @pytest.mark.parametrize("grid_size", GRID_SIZES)
     @pytest.mark.parametrize("degree", DEGREES)
     def test_values_match_oracle(self, degree, grid_size, lo, hi):
-        g = make_grid(degree, grid_size, lo, hi)
+        g = SplineGrid(degree, grid_size, lo, hi)
         xs = _oracle_points(g)
         expected = np.array([naive_basis_vector(g, x) for x in xs])
         values = basis_values(g, xs)
@@ -167,7 +194,7 @@ class TestLocalEvaluator:
     @pytest.mark.parametrize("grid_size", GRID_SIZES)
     @pytest.mark.parametrize("degree", DEGREES[1:])
     def test_derivatives_match_oracle_differences(self, degree, grid_size, lo, hi):
-        g = make_grid(degree, grid_size, lo, hi)
+        g = SplineGrid(degree, grid_size, lo, hi)
         t = g.knots
         # Inside every span, away from the knots where the derivative of a
         # low-degree function jumps, and one point past each end.
@@ -186,7 +213,7 @@ class TestLocalEvaluator:
                                    np.array([[1, 0], [-1, 2]])],
                              ids=["0-d", "empty", "empty-2d", "int"])
     def test_shape_contract(self, degree, x):
-        g = make_grid(degree=degree)
+        g = SplineGrid(degree=degree)
         for fn in (basis_values, basis_derivatives):
             out = fn(g, x)
             assert out.shape == np.shape(x) + (g.basis_count,)
@@ -194,7 +221,7 @@ class TestLocalEvaluator:
 
     @pytest.mark.parametrize("degree", [0, 1, 3, 5])
     def test_exact_zeros_outside_knots(self, degree):
-        g = make_grid(degree=degree)
+        g = SplineGrid(degree=degree)
         t = g.knots
         big = np.finfo(np.float64).max
         xs = np.array([big, -big, 1e308, -1e308, 1e100, -1e100, 40.0, -40.0,
@@ -246,7 +273,7 @@ class TestScalarBsplvbOracle:
     @pytest.mark.parametrize("grid_size", GRID_SIZES)
     @pytest.mark.parametrize("degree", DEGREES)
     def test_values_and_derivatives_bit_equal(self, degree, grid_size, lo, hi):
-        g = make_grid(degree, grid_size, lo, hi)
+        g = SplineGrid(degree, grid_size, lo, hi)
         xs = _bit_points(g)
         for derivative, fn in ((False, basis_values), (True, basis_derivatives)):
             expected = np.array([scalar_bsplvb(g, x, derivative) for x in xs])
