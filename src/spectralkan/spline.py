@@ -11,9 +11,14 @@ Evaluation is local, as in de Boor's BSPLVB: each input ``x`` lies in one
 knot span ``s`` with ``knots[s] <= x < knots[s+1]``, and only the
 ``degree + 1`` basis functions ``s - degree .. s`` are nonzero there.
 Inputs outside ``[knots[0], knots[-1])`` lie in no span, and every basis
-function is exactly zero there. The kernel makes three kinds of pass over
-the flattened input, each an array operation written in place where it
-can be:
+function is exactly zero there. The kernel walks the flattened input in
+blocks of ``_BLOCK_VALUES // basis_count`` inputs and makes three kinds
+of pass over each block, each an array operation written in place where
+it can be. The block is sized by the result values it writes, which
+dominate its memory, so that a block's result rows and temporaries stay
+in cache from one pass to the next at any ``basis_count``. Every input
+goes through the same operations in the same order whatever the block
+size, so blocking changes no bit of the result:
 
 1. *Span and offset.* ``x`` is bounded to the knot range, the span is
    estimated from the spacing and corrected by one comparison with the
@@ -28,10 +33,11 @@ can be:
    ``u + 0`` turns an offset of ``-0.0`` into ``+0.0``. A derivative is
    ``(v[r-1] - v[r]) / h`` over the degree-``(k-1)`` weights ``v``, a
    missing one counting as ``0.0``.
-3. *Scatter.* Weight ``r`` goes to column ``s - degree + r`` of a zero
-   result. One test of the column, viewed as unsigned, against
-   ``basis_count`` finds every column outside ``0 .. basis_count - 1``,
-   negative ones included; their writes go to a spare slot past the result.
+3. *Scatter.* The block's rows of the result are zeroed, and weight
+   ``r`` goes to column ``s - degree + r``. One test of the column,
+   viewed as unsigned, against ``basis_count`` finds every column outside
+   ``0 .. basis_count - 1``, negative ones included; their writes go to a
+   spare slot past the result.
 """
 
 from __future__ import annotations
@@ -44,6 +50,9 @@ from .errors import ContractError, DomainError
 
 
 _MAX_KNOTS = 4096  # far above any grid in use; bounds what a header can ask for
+# Result values per block: 512 KiB of float64, so that one block's result
+# and its temporaries stay in a 2 MiB L2 cache between the passes.
+_BLOCK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -63,7 +72,12 @@ class SplineGrid:
     knots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        degree, grid_size, lo, hi = self.degree, self.grid_size, self.lo, self.hi
+        for name in ("degree", "grid_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ContractError(f"{name} must be an integer, got {value!r}")
+        degree, grid_size = int(self.degree), int(self.grid_size)
+        lo, hi = self.lo, self.hi
         if degree < 0:
             raise ContractError(f"degree must be non-negative, got {degree}")
         if grid_size < 1:
@@ -82,6 +96,8 @@ class SplineGrid:
                                     f"strictly increasing within the float range")
         knots.flags.writeable = False
         # The dataclass is frozen, so the derived fields go in directly.
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "grid_size", grid_size)
         object.__setattr__(self, "lo", float(lo))
         object.__setattr__(self, "hi", float(hi))
         object.__setattr__(self, "knots", knots)
@@ -94,13 +110,6 @@ class SplineGrid:
     def spacing(self) -> float:
         """The uniform knot spacing ``h``."""
         return (self.hi - self.lo) / self.grid_size
-
-
-def _check_finite(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise DomainError("spline evaluation requires finite inputs")
-    return x
 
 
 def _span_offset(grid: SplineGrid, x: np.ndarray):
@@ -161,33 +170,66 @@ def _local_basis(u: np.ndarray, degree: int) -> np.ndarray:
     return w
 
 
-def _dense(grid: SplineGrid, shape: tuple, span: np.ndarray,
-           w: np.ndarray) -> np.ndarray:
-    """Write ``w[r]`` into column ``span - degree + r`` of a zero result.
+def _local_derivatives(u: np.ndarray, degree: int, h: float) -> np.ndarray:
+    """First derivatives of the ``degree + 1`` functions nonzero on a span.
 
-    Columns outside ``0 .. basis_count - 1`` belong to functions beyond
-    the knot vector, or to inputs outside every span; their writes go to
-    one spare slot past the end of the buffer, which the result excludes.
+    ``d[r] = (v[r-1] - v[r]) / h`` over the degree-``(degree-1)`` weights
+    ``v``, a missing one counting as ``0.0``; at degree 0 every
+    derivative is zero.
     """
+    d = np.empty((degree + 1,) + u.shape)
+    if degree == 0:
+        d[0] = 0.0
+        return d
+    lower = _local_basis(u, degree - 1)
+    np.subtract(0.0, lower[0], out=d[0])
+    np.subtract(lower[:-1], lower[1:], out=d[1:-1])
+    d[degree] = lower[degree - 1]
+    d /= h
+    return d
+
+
+def _blocked(grid: SplineGrid, x, local) -> np.ndarray:
+    """The dense result of ``local``'s weights at every input, block by block.
+
+    ``local(u)`` gives the ``degree + 1`` weights at the offsets ``u``.
+    Each block checks its inputs, finds their spans and weights, zeroes
+    its rows of the result and writes ``w[r]`` into column
+    ``span - degree + r``. Columns outside ``0 .. basis_count - 1``
+    belong to functions beyond the knot vector, or to inputs outside
+    every span; their writes go to one spare slot past the end of the
+    buffer, which the result excludes.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    xs = x.reshape(-1)
     nb = grid.basis_count
-    n = span.size
+    n = xs.size
     spare = n * nb
-    flat = np.zeros(spare + 1)
-    col = span - grid.degree
-    # ``base + spare`` is the flat index of each input's column ``col``,
-    # so zeroing ``base`` where the column is outside points to the spare.
-    base = np.arange(-spare, 0, nb)
-    base += col
-    idx = np.empty_like(base)
-    inside = np.empty(n, dtype=bool)
-    for r in range(grid.degree + 1):
-        np.less(col.view(np.uintp), nb, out=inside)
-        np.multiply(base, inside, out=idx)
-        idx += spare
-        flat[idx] = w[r]
-        col += 1
-        base += 1
-    return flat[:-1].reshape(shape + (nb,))
+    flat = np.empty(spare + 1)
+    block = max(1, _BLOCK_VALUES // nb)
+    for start in range(0, n, block):
+        xb = xs[start:start + block]
+        if not np.all(np.isfinite(xb)):
+            raise DomainError("spline evaluation requires finite inputs")
+        span, u = _span_offset(grid, xb)
+        w = local(u)
+        stop = start + xb.size
+        flat[start * nb:stop * nb] = 0.0
+        col = span - grid.degree
+        # ``base + spare`` is the flat index of each input's column ``col``,
+        # so zeroing ``base`` where the column is outside points to the spare.
+        base = np.arange((start - n) * nb, (stop - n) * nb, nb)
+        base += col
+        idx = np.empty_like(base)
+        inside = np.empty(xb.size, dtype=bool)
+        for r in range(grid.degree + 1):
+            np.less(col.view(np.uintp), nb, out=inside)
+            np.multiply(base, inside, out=idx)
+            idx += spare
+            flat[idx] = w[r]
+            col += 1
+            base += 1
+    return flat[:-1].reshape(x.shape + (nb,))
 
 
 def basis_values(grid: SplineGrid, x) -> np.ndarray:
@@ -197,9 +239,7 @@ def basis_values(grid: SplineGrid, x) -> np.ndarray:
     ``x.shape + (grid.basis_count,)``. Values are non-negative, and inside
     the domain they sum to one.
     """
-    x = _check_finite(x)
-    span, u = _span_offset(grid, x.reshape(-1))
-    return _dense(grid, x.shape, span, _local_basis(u, grid.degree))
+    return _blocked(grid, x, lambda u: _local_basis(u, grid.degree))
 
 
 def basis_derivatives(grid: SplineGrid, x) -> np.ndarray:
@@ -209,15 +249,5 @@ def basis_derivatives(grid: SplineGrid, x) -> np.ndarray:
     ``h``, the derivative of degree-k function ``i`` is the difference of
     degree-(k-1) functions ``i`` and ``i + 1``, divided by ``h``.
     """
-    x = _check_finite(x)
-    k = grid.degree
-    if k == 0:
-        return np.zeros(x.shape + (grid.basis_count,), dtype=np.float64)
-    span, u = _span_offset(grid, x.reshape(-1))
-    lower = _local_basis(u, k - 1)
-    d = np.empty((k + 1,) + u.shape)
-    np.subtract(0.0, lower[0], out=d[0])
-    np.subtract(lower[:-1], lower[1:], out=d[1:-1])
-    d[k] = lower[k - 1]
-    d /= grid.spacing
-    return _dense(grid, x.shape, span, d)
+    return _blocked(grid, x,
+                    lambda u: _local_derivatives(u, grid.degree, grid.spacing))

@@ -36,6 +36,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "decay_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ContractError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if self.epochs < 0:
             raise ContractError("epochs must be non-negative")
         if self.batch_size < 1:

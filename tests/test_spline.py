@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spectralkan import ModelConfig, SplineGrid, basis_derivatives, basis_values
+from spectralkan import spline
 from spectralkan.errors import ContractError, DomainError
 
 from oracles import naive_basis, naive_basis_vector, scalar_bsplvb
@@ -42,6 +43,20 @@ class TestGridConstruction:
     def test_rejects_bad_settings(self, degree, grid_size, lo, hi):
         with pytest.raises(ContractError):
             SplineGrid(degree, grid_size, lo, hi)
+
+    @pytest.mark.parametrize("name", ["degree", "grid_size"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, np.bool_(True), "3", None],
+                             ids=repr)
+    def test_rejects_non_integer_counts(self, name, value):
+        with pytest.raises(ContractError, match=name):
+            SplineGrid(**{name: value})
+
+    def test_numpy_integer_counts_are_stored_as_int(self):
+        g = SplineGrid(np.int64(3), np.int32(5))
+        assert type(g.degree) is int and type(g.grid_size) is int
+        assert type(g.basis_count) is int
+        assert g == SplineGrid() and hash(g) == hash(SplineGrid())
+        np.testing.assert_array_equal(g.knots, SplineGrid().knots)
 
     def test_knot_count_cap_is_inclusive(self):
         assert SplineGrid(2045, 5).knots.size == 4096
@@ -234,6 +249,19 @@ class TestLocalEvaluator:
         assert np.all(values == 0.0) and np.all(derivs == 0.0)
 
     @pytest.mark.parametrize("fn", [basis_values, basis_derivatives])
+    def test_peak_memory_near_one_output_at_training_size(self, grid, fn):
+        # A spatial layer's 9,920 band rows of 25 inputs. Whole-array passes
+        # peaked at 2.14x (values) and 2.52x (derivatives) of the output.
+        x = np.random.default_rng(6).uniform(-1.3, 1.3, (9920, 25))
+        tracemalloc.start()
+        try:
+            out = fn(grid, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes
+
+    @pytest.mark.parametrize("fn", [basis_values, basis_derivatives])
     def test_peak_memory_within_four_outputs(self, grid, fn):
         # The global recursion peaked at 7.4x (values) and 6.4x
         # (derivatives) of the output at this shape.
@@ -278,3 +306,39 @@ class TestScalarBsplvbOracle:
         for derivative, fn in ((False, basis_values), (True, basis_derivatives)):
             expected = np.array([scalar_bsplvb(g, x, derivative) for x in xs])
             self.assert_bits_equal(fn(g, xs), expected)
+
+
+class TestBlockBoundaries:
+    """Inputs at the first and last slot of every block come out as they
+    do alone; the oracle tests above stay inside one block."""
+
+    @pytest.mark.parametrize("fn", [basis_values, basis_derivatives])
+    @pytest.mark.parametrize("degree,grid_size,lo,hi", [
+        (3, 5, -1.0, 1.0), (2, 7, 0.0, 1.0), (0, 4, -3.0, 0.7),
+    ])
+    def test_bit_equal_to_one_at_a_time(self, degree, grid_size, lo, hi, fn):
+        g = SplineGrid(degree, grid_size, lo, hi)
+        t = g.knots
+        big = np.finfo(np.float64).max
+        special = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+                                  [0.0, -0.0, t[0] - 1.0, t[-1] + 1.0, 1e300, -1e300,
+                                   big, -big]])
+        rng = np.random.default_rng(degree * 100 + grid_size)
+        # Every point is one of ``pool``, which is evaluated one point at a
+        # time; the filler is random points inside the knots.
+        pool = np.concatenate([special, rng.uniform(t[0], t[-1], 40)])
+        alone = np.array([fn(g, v) for v in pool])
+        block = spline._BLOCK_VALUES // g.basis_count
+        n = 5 * block // 2
+        edges = np.unique(np.concatenate([np.arange(0, n, block),
+                                          np.arange(block - 1, n, block), [n - 1]]))
+        for i in range(special.size):
+            which = rng.integers(special.size, pool.size, n)
+            which[edges] = i
+            np.testing.assert_array_equal(fn(g, pool[which]).view(np.uint64),
+                                          alone[which].view(np.uint64))
+        for edge in edges:
+            x = np.zeros(n)
+            x[edge] = np.nan
+            with pytest.raises(DomainError):
+                fn(g, x)

@@ -74,6 +74,20 @@ class TestSchedule:
 
 
 class TestTrainConfig:
+    @pytest.mark.parametrize("name", ["epochs", "batch_size", "decay_every"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, np.bool_(True), "4", None],
+                             ids=repr)
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ContractError, match=name):
+            TrainConfig(**{name: value})
+
+    def test_numpy_integer_counts_are_stored_as_int(self):
+        config = TrainConfig(epochs=np.int64(3), batch_size=np.int32(8),
+                             decay_every=np.uint8(2))
+        assert (config.epochs, config.batch_size, config.decay_every) == (3, 8, 2)
+        assert all(type(v) is int
+                   for v in (config.epochs, config.batch_size, config.decay_every))
+
     @pytest.mark.parametrize("field", ["base_lr", "decay_factor"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
     def test_rate_must_be_finite_and_positive(self, field, value):
