@@ -15,6 +15,11 @@ for non-finite values: ``load_cube`` copies them into a new cube and
 ``normalize(cube, out=cube.values)`` the difference cube is built in one
 buffer, with the bytes of ``normalize(difference(x1, x2))``.
 
+Each cube's values are checked finite once. ``HsiCube(values)``,
+``difference`` and ``subtract_cube`` make a whole-cube pass, since a
+float32 difference can overflow; ``load_cube`` relies on the reader's
+block checks and ``normalize`` on its finite band spans.
+
 Patches are windows centered on the classified pixel; positions falling
 outside the raster are filled by mirroring across the image boundary
 (the edge row/column is duplicated next to itself). For patches larger
@@ -45,12 +50,23 @@ class HsiCube:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float32)
+        self._set_values(self.values)
+        if not np.all(np.isfinite(self.values)):
+            raise DomainError("cube values must be finite")
+
+    @classmethod
+    def _of_finite(cls, values) -> HsiCube:
+        """A cube of ``values`` that its builder has already shown finite:
+        the shape check runs, the whole-cube finiteness pass does not."""
+        cube = cls.__new__(cls)
+        cube._set_values(values)
+        return cube
+
+    def _set_values(self, values) -> None:
+        self.values = np.asarray(values, dtype=np.float32)
         if self.values.ndim != 3 or min(self.values.shape) < 1:
             raise ContractError(
                 f"cube must be (h, w, b) with positive dims, got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("cube values must be finite")
 
     @property
     def height(self) -> int:
@@ -126,6 +142,9 @@ def normalize(cube: HsiCube, out: np.ndarray | None = None) -> HsiCube:
     """Affinely map each band to [-1, 1]; constant bands map to 0.
 
     A band whose span ``max - min`` overflows float32 is a ``DomainError``.
+    Finite values with finite spans map to finite values, so the result
+    skips ``HsiCube``'s finiteness pass; a NaN written into the cube's
+    array after construction makes its band's span NaN and is caught there.
 
     ``out``, a float32 array of the cube's shape, receives the result; it
     may be ``cube.values`` itself. The same float32 operations run in the
@@ -141,6 +160,8 @@ def normalize(cube: HsiCube, out: np.ndarray | None = None) -> HsiCube:
         b = wide[0]
         raise DomainError(
             f"band {b} spans [{lo[b]!s}, {hi[b]!s}], wider than float32 holds")
+    if np.isnan(span).any():
+        raise DomainError("cube values must be finite")
     flat = span == 0
     safe = np.where(flat, 1.0, span).astype(np.float32)
     out = np.subtract(v, lo, out=out)
@@ -148,7 +169,7 @@ def normalize(cube: HsiCube, out: np.ndarray | None = None) -> HsiCube:
     out *= 2.0
     out -= 1.0
     out[:, :, flat] = 0.0
-    return HsiCube(out)
+    return HsiCube._of_finite(out)
 
 
 def extract_patches(cube: HsiCube, coords: np.ndarray, p: int) -> np.ndarray:
@@ -361,7 +382,7 @@ def load_cube(header_path) -> HsiCube:
     shape, payload_path = _checked_payload(Path(header_path))
     values = np.empty(shape, dtype=np.float32)
     _read_payload(payload_path, values.reshape(-1), np.copyto)
-    return HsiCube(values)
+    return HsiCube._of_finite(values)  # _read_payload checked every block
 
 
 def subtract_cube(cube: HsiCube, header_path) -> HsiCube:

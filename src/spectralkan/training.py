@@ -5,6 +5,13 @@ config, parameters update in a fixed order, and identical inputs yield
 bit-identical models and histories. ``gradient_check`` compares every
 analytic parameter gradient against central finite differences of the
 full loss and reports the worst relative error.
+
+A training step holds one batch, its layer caches, logits and gradients.
+The caches, logits and logit gradient are released once
+``Model.backward`` has returned, before ``adam_step`` runs, and the
+parameter gradients once Adam has applied them. Nothing of one step is
+alive during the next step's forward, so ``train`` peaks at one step's
+memory plus the Adam moments.
 """
 
 from __future__ import annotations
@@ -168,7 +175,9 @@ def train(model: Model, dataset, config: TrainConfig) -> tuple[Model, TrainHisto
             logits, caches = model.forward(patches[idx])
             loss, grad_logits = softmax_cross_entropy(logits, labels[idx])
             grads = model.backward(caches, grad_logits)
+            del logits, caches, grad_logits
             adam_step(state, params, grads, lr)
+            del grads
             total += loss * idx.size
         history.epochs.append(epoch)
         history.lrs.append(lr)

@@ -95,6 +95,12 @@ class TestNormalize:
         with pytest.raises(DomainError, match=rf"^band {band} spans \["):
             normalize(HsiCube(values))
 
+    def test_nan_written_after_construction_is_domain_error(self):
+        cube = random_cube(3, 4, 5, seed=7)
+        cube.values[1, 2, 3] = np.nan
+        with pytest.raises(DomainError, match="cube values must be finite"):
+            normalize(cube)
+
     @pytest.mark.parametrize("shape", [(6, 7, 3), (70, 70, 155)])
     def test_out_gives_the_default_bytes_in_that_buffer(self, shape):
         values = 40.0 * random_cube(*shape, seed=6).values
@@ -300,6 +306,22 @@ class TestCubeFiles:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_load_adds_no_whole_cube_mask(self, tmp_path):
+        # The reader checks each 1 MiB block, so the load holds the cube and
+        # one block. The cube is large enough that a whole-cube finiteness
+        # mask (a quarter of the cube) would outweigh the block.
+        shape = (200, 100, 155)
+        save_cube(HsiCube(np.arange(np.prod(shape), dtype=np.float32).reshape(shape)),
+                  tmp_path / "c.json")
+        tracemalloc.start()
+        try:
+            cube = load_cube(tmp_path / "c.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cube.values.shape == shape
+        assert peak <= cube.values.nbytes + 1.5 * 2**20
 
     @pytest.mark.parametrize("read", [
         load_cube, lambda path: subtract_cube(random_cube(3, 4, 5), path)],

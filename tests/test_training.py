@@ -204,6 +204,37 @@ class TestTrain:
         assert len(history.losses) == 7
         assert history.lrs[0] == 0.001
 
+    @pytest.mark.parametrize("variant", [Variant.SPECTRAL_KAN, Variant.KAN_SS])
+    def test_holds_one_step_at_a_time(self, variant):
+        # Two steps per epoch at the paper's shape: nothing of one step may
+        # be alive while the next step runs its forward and backward.
+        config = ModelConfig(variant=variant, patch_size=5, bands=155)
+        rng = np.random.default_rng(0)
+        dataset = PatchSet(rng.uniform(-1.0, 1.0, (128, 5, 5, 155)),
+                           rng.integers(0, 2, size=128))
+
+        def peak_of(run):
+            model = build_model(config, seed=0)
+            tracemalloc.start()
+            try:
+                run(model)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def one_step(model):
+            params = model.parameters()
+            state = AdamState(params)
+            logits, caches = model.forward(dataset.patches[:64])
+            _, grad_logits = softmax_cross_entropy(logits, dataset.labels[:64])
+            grads = model.backward(caches, grad_logits)
+            adam_step(state, params, grads, lr=1e-3)
+
+        step = peak_of(one_step)
+        trained = peak_of(lambda model: train(
+            model, dataset, TrainConfig(epochs=2, batch_size=64)))
+        assert trained <= 1.1 * step
+
     def test_rejects_empty_training_set(self):
         model = tiny_model()
         empty = PatchSet(np.empty((0, 3, 3, 4)), np.empty(0, dtype=np.int64))
