@@ -24,7 +24,7 @@ import numpy as np
 from .data import (HsiCube, LabelMap, difference, extract_patches,
                    load_cube, load_labels, normalize, patch_set, save_cube,
                    save_labels, save_pgm, stratified_split, subtract_cube,
-                   synth_dataset, UNKNOWN, _checked_payload)
+                   synth_dataset, UNKNOWN, _checked_payload, _pixel_coords)
 from .errors import ContractError, DataError, DomainError, UndefinedMetricError
 from .metrics import report, tally
 from .model import (Model, ModelConfig, Variant, build_model, load_checkpoint,
@@ -139,8 +139,12 @@ def _batch_size(model: Model) -> int:
     """Patches per prediction batch, so that no layer builds more than
     ``_BATCH_VALUES`` float64 values for one batch.
 
-    A KAN layer's widest array is its basis tensor, ``d_in * basis_count``
-    values per row; a dense layer's is its input or output.
+    A KAN layer counts as its basis tensor, ``d_in * basis_count`` values
+    per row; a dense layer's widest array is its input or output. Only the
+    full layer still builds that tensor in prediction, where the shared
+    layer evaluates its spline in pp-form. The rule stays as it is: the
+    shared and dense layers' products round a row by its place in the
+    batch, so a different batch plan would move change-map bits.
     """
     widest = 0
     for _, stack, rows in model.stacks():
@@ -155,7 +159,7 @@ def predict_at(model: Model, cube: HsiCube, coords: np.ndarray) -> np.ndarray:
     """Predicted class for each coordinate, extracted and run in batches
     small enough for every layer's arrays to stay in cache."""
     p = model.config.patch_size
-    coords = np.asarray(coords)
+    coords = _pixel_coords(coords)
     batch = _batch_size(model)
     out = np.empty(len(coords), dtype=np.uint8)
     for start in range(0, len(coords), batch):

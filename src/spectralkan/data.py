@@ -172,6 +172,21 @@ def normalize(cube: HsiCube, out: np.ndarray | None = None) -> HsiCube:
     return HsiCube._of_finite(out)
 
 
+def _pixel_coords(coords) -> np.ndarray:
+    """``coords`` as an int64 array of ``(row, col)`` rows.
+
+    ``coords`` must be an integer array of shape ``(n, 2)`` or a list of
+    integer pairs; anything else is a ``ContractError``, so that no
+    reshape regroups the values and no cast truncates a fractional one.
+    """
+    coords = np.asarray(coords)
+    if (coords.ndim != 2 or coords.shape[1] != 2
+            or not np.issubdtype(coords.dtype, np.integer)):
+        raise ContractError(f"coordinates must be an integer array of shape "
+                            f"(n, 2), got {coords.dtype} of shape {coords.shape}")
+    return coords.astype(np.int64, copy=False)
+
+
 def extract_patches(cube: HsiCube, coords: np.ndarray, p: int) -> np.ndarray:
     """The p x p x b windows centered on each ``(row, col)`` of ``coords``.
 
@@ -181,7 +196,7 @@ def extract_patches(cube: HsiCube, coords: np.ndarray, p: int) -> np.ndarray:
     """
     if p < 1 or p % 2 == 0:
         raise ContractError(f"patch size must be odd and positive, got {p}")
-    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
+    coords = _pixel_coords(coords)
     size = np.array([cube.height, cube.width])
     outside = np.any((coords < 0) | (coords >= size), axis=1)
     if outside.any():
@@ -200,7 +215,7 @@ def patch_set(cube: HsiCube, label_map: LabelMap, coords: np.ndarray,
     """Bundle float64 patches with the labels found at ``coords``."""
     if (label_map.height, label_map.width) != (cube.height, cube.width):
         raise ContractError("label map does not match the cube dimensions")
-    coords = np.asarray(coords, dtype=np.int64)
+    coords = _pixel_coords(coords)
     patches = extract_patches(cube, coords, p).astype(np.float64)
     labels = label_map.labels[coords[:, 0], coords[:, 1]]
     if np.any(labels == UNKNOWN):

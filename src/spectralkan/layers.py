@@ -6,8 +6,11 @@ Three layer kinds:
   ``base_weight * silu(x) + spline_scale * spline(x)`` with a private
   coefficient vector per edge.
 * ``SharedKanLayer`` - all edges leaving an input node share one SiLU and
-  one spline; edges differ only in the two scalar weights. SiLU and basis
-  values are therefore computed once per input element.
+  one spline; edges differ only in the two scalar weights. SiLU and spline
+  are therefore evaluated once per input element, the spline in
+  piecewise-polynomial form with no basis tensor (``spline._pp_spline``).
+  A training forward (``keep=True``) also caches the dense basis, which
+  backward contracts for the coefficient gradient.
 * ``DenseLayer`` - affine map with optional SiLU, the baseline.
 
 Forward returns ``(outputs, cache)``; ``backward`` consumes the cache and
@@ -44,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .spline import SplineGrid, basis_derivatives, basis_values
+from .spline import SplineGrid, _pp_spline, basis_derivatives, basis_values
 
 KINDS = ("full", "shared", "dense")
 
@@ -183,7 +186,12 @@ class FullKanLayer(_KanLayer):
 
 
 class SharedKanLayer(_KanLayer):
-    """KAN layer whose edges share one SiLU and one spline per input node."""
+    """KAN layer whose edges share one SiLU and one spline per input node.
+
+    ``forward`` evaluates each input's spline once, by the pp-form, for
+    either value of ``keep``, so prediction and training logits have the
+    same bits; only ``keep=True`` builds the dense basis, for backward.
+    """
 
     kind = "shared"
 
@@ -199,12 +207,13 @@ class SharedKanLayer(_KanLayer):
         x = _check_inputs(self, inputs)
         sig = sigmoid(x)
         act = x * sig
-        basis = basis_values(self.grid, x)
-        spline_vals = np.einsum("nit,it->ni", basis, self.spline_coeff)
+        spline_vals = _pp_spline(self.grid, self.spline_coeff, x)
         out = act @ self.base_weight.T + spline_vals @ self.spline_scale.T
         if not keep:
             return out, None
-        return out, LayerCache(self, x, sig=sig, act=act, basis=basis,
+        # Backward contracts the dense basis for the coefficient gradient.
+        return out, LayerCache(self, x, sig=sig, act=act,
+                               basis=basis_values(self.grid, x),
                                spline_vals=spline_vals)
 
     def backward(self, cache: LayerCache, grad_out, input_grad: bool = True):

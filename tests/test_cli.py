@@ -19,7 +19,7 @@ from spectralkan import cli
 from spectralkan import data as data_mod
 from spectralkan.cli import _batch_size, build_parser, main, predict_at
 from spectralkan.data import save_cube, save_labels
-from spectralkan.errors import DataError, MalformedHeaderError
+from spectralkan.errors import ContractError, DataError, MalformedHeaderError
 from spectralkan.training import TrainConfig
 
 
@@ -590,6 +590,14 @@ class TestPredictAt:
         pred = predict_at(ablation_model(variant, 30), scene(6, 30),
                           np.zeros((0, 2), dtype=np.int64))
         assert pred.shape == (0,) and pred.dtype == np.uint8
+
+    @pytest.mark.parametrize("coords", [
+        np.array([[1, 2, 3], [0, 1, 2]]), np.zeros((0, 3), dtype=np.int64),
+        [[1.7, 2.2]],
+    ], ids=["2x3", "empty-0x3", "fractional"])
+    def test_rejects_malformed_coords(self, coords):
+        with pytest.raises(ContractError, match="coordinates"):
+            predict_at(ablation_model(Variant.SPECTRAL_KAN, 30), scene(6, 30), coords)
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_peak_memory_of_a_full_scene_stays_small(self, variant):

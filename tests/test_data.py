@@ -157,6 +157,32 @@ class TestPatches:
         with pytest.raises(ContractError):
             extract_patches(cube, [(1, 1), center], p)
 
+    @pytest.mark.parametrize("coords", [
+        [[1, 2, 3], [0, 1, 2]], np.array([[1, 2, 3], [0, 1, 2]]),
+        [[1.7, 2.2]], np.array([[1.0, 2.0]]), [1, 2], np.zeros((1, 2, 1), int),
+        [], [[True, False]], [["1", "2"]],
+    ], ids=["list-2x3", "array-2x3", "fractional", "float-integral", "flat-pair",
+            "3-d", "empty-list", "bool", "strings"])
+    def test_rejects_malformed_coords(self, coords):
+        cube = random_cube(4, 4, 2, seed=13)
+        labels = LabelMap(np.zeros((4, 4), dtype=np.uint8))
+        with pytest.raises(ContractError, match="coordinates"):
+            extract_patches(cube, coords, 3)
+        with pytest.raises(ContractError, match="coordinates"):
+            patch_set(cube, labels, coords, 3)
+
+    @pytest.mark.parametrize("coords", [
+        [(1, 2), (3, 0)], np.array([[1, 2], [3, 0]], dtype=np.uint8),
+        np.array([[1, 2], [3, 0]], dtype=np.int32), np.zeros((0, 2), dtype=np.int64),
+    ], ids=["list-of-pairs", "uint8", "int32", "empty"])
+    def test_integer_pairs_pass(self, coords):
+        cube = random_cube(4, 4, 2, seed=14)
+        got = extract_patches(cube, coords, 3)
+        expected = [naive_patch(cube.values, r, c, 3)
+                    for r, c in np.asarray(coords, dtype=np.int64)]
+        assert got.shape == (len(expected), 3, 3, 2)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
     def test_batch_matches_per_pixel(self):
         # Every center of every raster up to 6x6, with windows up to 15
         # wide: p=1, interior pixels, edges, and windows larger than the

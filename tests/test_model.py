@@ -11,6 +11,8 @@ from spectralkan import (DenseLayer, FullKanLayer, Model, ModelConfig,
                          PatchSet, SharedKanLayer, TrainConfig, Variant,
                          build_model, load_checkpoint, save_checkpoint, train)
 from spectralkan import layers
+from spectralkan.cli import predict_at
+from spectralkan.data import HsiCube
 from spectralkan.errors import (ContractError, DataError, DomainError,
                                 MalformedHeaderError, TruncatedPayloadError)
 
@@ -187,6 +189,49 @@ class TestForward:
         logits, caches = model.forward(np.zeros((2, 3, 3, 4)))
         with pytest.raises(ContractError):
             model.backward(caches[:-1], logits)
+
+
+class TestSharedForwardBuildsNoBasis:
+    """Prediction evaluates the shared layers in pp form; training still
+    caches the dense basis that backward contracts."""
+
+    @staticmethod
+    def count_basis_values(monkeypatch):
+        calls = []
+        original = layers.basis_values
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(layers, "basis_values", counted)
+        return calls
+
+    @pytest.mark.parametrize("variant,shared_layers",
+                             [(Variant.SPECTRAL_KAN, 4), (Variant.KAN_ENC, 2)])
+    def test_only_training_forward_builds_the_basis(self, variant, shared_layers,
+                                                    monkeypatch):
+        model = build_model(tiny_config(variant), seed=0)
+        assert [layer.kind for layer in model.layers()] == ["shared"] * shared_layers
+        rng = np.random.default_rng(1)
+        patches = rng.uniform(-1, 1, (3, 3, 3, 4))
+        cube = HsiCube(rng.uniform(-1, 1, (4, 5, 4)).astype(np.float32))
+        calls = self.count_basis_values(monkeypatch)
+        model.forward(patches, keep=False)
+        predict_at(model, cube, np.argwhere(np.ones((4, 5), dtype=bool)))
+        assert len(calls) == 0
+        model.forward(patches, keep=True)
+        assert len(calls) == shared_layers
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_keep_changes_no_logit_bit_across_blocks(self, variant):
+        # 40 patches at b=30 give 1,200 band rows of 25 inputs, several
+        # blocks of the pp-form evaluator; the tiny model above fits in one.
+        model = build_model(config_d(bands=30, variant=variant), seed=2)
+        patches = np.random.default_rng(3).uniform(-1.2, 1.2, (40, 5, 5, 30))
+        kept, _ = model.forward(patches, keep=True)
+        bare, _ = model.forward(patches, keep=False)
+        assert bare.tobytes() == kept.tobytes()
 
 
 class TestBackwardInputGrad:

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectralkan import ModelConfig, SplineGrid, basis_derivatives, basis_values
 from spectralkan import spline
@@ -342,3 +344,68 @@ class TestBlockBoundaries:
             x[edge] = np.nan
             with pytest.raises(DomainError):
                 fn(g, x)
+
+
+def _dense_spline(grid, coeff, x):
+    return np.einsum("nit,it->ni", basis_values(grid, x), coeff)
+
+
+class TestPiecewisePolynomial:
+    """The pp-form evaluator of the shared layer against the dense
+    contraction it replaces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), degree=st.integers(0, 4), grid_size=st.integers(1, 8),
+           domain=st.sampled_from(DOMAINS), d_in=st.integers(1, 4),
+           rows=st.integers(1, 40))
+    def test_matches_dense_contraction(self, data, degree, grid_size, domain,
+                                       d_in, rows):
+        g = SplineGrid(degree, grid_size, *domain)
+        t = g.knots
+        big = np.finfo(np.float64).max
+        inside = st.floats(t[0], t[-1], exclude_max=True)
+        outside = st.one_of(
+            st.floats(max_value=t[0], exclude_max=True, allow_nan=False,
+                      allow_infinity=False),
+            st.floats(min_value=t[-1], allow_nan=False, allow_infinity=False),
+            st.sampled_from([big, -big, t[-1], np.nextafter(t[0], -np.inf)]))
+        # Every knot, the float just below each (the last knot's included),
+        # points inside the knots and points outside them.
+        points = st.one_of(st.sampled_from(list(t)),
+                           st.sampled_from(list(np.nextafter(t, -np.inf))),
+                           inside, outside)
+        x = np.array(data.draw(st.lists(points, min_size=rows * d_in,
+                                        max_size=rows * d_in))).reshape(rows, d_in)
+        coeff = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(
+            -2.0, 2.0, (d_in, g.basis_count))
+        with np.errstate(over="raise", divide="raise", invalid="raise"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spline._pp_spline(g, coeff, x)
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert np.abs(got - _dense_spline(g, coeff, x)).max() <= 1e-12
+        assert np.all(got[(x < t[0]) | (x >= t[-1])] == 0.0)
+
+    @pytest.mark.parametrize("degree", range(6))
+    def test_power_matrix_reproduces_local_basis(self, degree):
+        u = np.random.default_rng(degree).uniform(0.0, 1.0, 500)
+        powers = np.vander(u, degree + 1, increasing=True).T
+        expected = spline._local_basis(u, degree)
+        assert np.abs(spline._power_matrix(degree) @ powers - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize("degree,grid_size,lo,hi", [
+        (3, 5, -1.0, 1.0), (2, 7, 0.0, 1.0), (0, 4, -3.0, 0.7),
+    ])
+    def test_block_size_changes_no_bit(self, degree, grid_size, lo, hi, monkeypatch):
+        g = SplineGrid(degree, grid_size, lo, hi)
+        rng = np.random.default_rng(degree * 100 + grid_size)
+        special = _bit_points(g)
+        x = np.concatenate([special, rng.uniform(-3.0, 3.0, 2250 - special.size)])
+        x = rng.permutation(x).reshape(90, 25)
+        coeff = rng.uniform(-1.0, 1.0, (25, g.basis_count))
+        whole = spline._pp_spline(g, coeff, x)
+        # Blocks of one row, of eight rows (a short last block) and one
+        # block for all.
+        for block in (1, 200, x.size):
+            monkeypatch.setattr(spline, "_PP_BLOCK_INPUTS", block)
+            assert spline._pp_spline(g, coeff, x).tobytes() == whole.tobytes()
