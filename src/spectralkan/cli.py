@@ -26,6 +26,7 @@ from .data import (HsiCube, LabelMap, difference, extract_patches,
                    save_labels, save_pgm, stratified_split, subtract_cube,
                    synth_dataset, UNKNOWN, _checked_payload, _pixel_coords)
 from .errors import ContractError, DataError, DomainError, UndefinedMetricError
+from .layers import _BATCH_VALUES
 from .metrics import report, tally
 from .model import (Model, ModelConfig, Variant, build_model, load_checkpoint,
                     save_checkpoint)
@@ -35,9 +36,6 @@ CHECK_FAILED = 4
 
 # Share of each class trained on; eval rebuilds the same held-out split.
 _TRAIN_FRACTION = 0.01
-
-# Float64 values (2 MiB) that one prediction batch may build in any layer.
-_BATCH_VALUES = 2 ** 18
 
 # glibc's malloc(3) parameters, fixed when ``main`` starts. By default the
 # mmap and trim thresholds follow the largest block freed so far, so
@@ -137,7 +135,8 @@ def _load_scene(args, bands: int | None = None) -> tuple[HsiCube, LabelMap]:
 
 def _batch_size(model: Model) -> int:
     """Patches per prediction batch, so that no layer builds more than
-    ``_BATCH_VALUES`` float64 values for one batch.
+    ``layers._BATCH_VALUES`` float64 values (2 MiB) for one batch, the
+    budget that also bounds each row block of a KAN layer's backward.
 
     A KAN layer counts as its basis tensor, ``d_in * basis_count`` values
     per row; a dense layer's widest array is its input or output. Only the

@@ -9,8 +9,7 @@ Three layer kinds:
   one spline; edges differ only in the two scalar weights. SiLU and spline
   are therefore evaluated once per input element, the spline in
   piecewise-polynomial form with no basis tensor (``spline._pp_spline``).
-  A training forward (``keep=True``) also caches the dense basis, which
-  backward contracts for the coefficient gradient.
+  Only backward builds the dense basis, for the coefficient gradient.
 * ``DenseLayer`` - affine map with optional SiLU, the baseline.
 
 Forward returns ``(outputs, cache)``; ``backward`` consumes the cache and
@@ -37,6 +36,15 @@ with the prediction batch it lands in; the per-row call keeps every row's
 bits fixed. The other layers still use the plain products. A cache holds
 only per-batch arrays: the backward pass forms ``spline_scale *
 spline_coeff`` again, and only when it builds the input gradient.
+
+No cache holds the SiLU output ``x * sig``, which backward forms again
+with the same bits, nor a basis tensor except the full layer's, which its
+forward output needs anyway. Backward builds each basis tensor it needs in
+consecutive row blocks of at most ``_BATCH_VALUES`` float64 values (2 MiB,
+the budget ``cli._batch_size`` sizes prediction batches by) and adds the
+blocks' coefficient gradients in row order. A shared layer's input
+gradient has the same bits for any block plan; OpenBLAS may round a row
+of the full layer's ``g @ weighted`` by the height of its block.
 """
 
 from __future__ import annotations
@@ -50,6 +58,18 @@ from .errors import ContractError, DomainError
 from .spline import SplineGrid, _pp_spline, basis_derivatives, basis_values
 
 KINDS = ("full", "shared", "dense")
+
+# Float64 values (2 MiB) that a basis tensor of one backward row block, or
+# of one prediction batch (``cli._batch_size``), may hold.
+_BATCH_VALUES = 2 ** 18
+
+
+def _row_blocks(n: int, width: int) -> list[slice]:
+    """Consecutive row slices covering ``n`` rows, each few enough that a
+    ``(rows, width)`` float64 array holds at most ``_BATCH_VALUES`` values
+    (one row at least)."""
+    step = max(1, _BATCH_VALUES // width)
+    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -78,7 +98,6 @@ class LayerCache:
     layer: object
     inputs: np.ndarray
     sig: Optional[np.ndarray] = None
-    act: Optional[np.ndarray] = None
     basis: Optional[np.ndarray] = None
     spline_vals: Optional[np.ndarray] = None
     pre_act: Optional[np.ndarray] = None
@@ -136,7 +155,13 @@ class _KanLayer:
 
 
 class FullKanLayer(_KanLayer):
-    """KAN layer with an independent activation on every edge."""
+    """KAN layer with an independent activation on every edge.
+
+    A training forward caches the dense basis its output contracts, and
+    backward reuses it for the coefficient gradient; the basis derivatives
+    and the spline slopes ``g @ weighted`` are built one row block at a
+    time.
+    """
 
     kind = "full"
 
@@ -151,7 +176,8 @@ class FullKanLayer(_KanLayer):
                 ) -> tuple[np.ndarray, Optional[LayerCache]]:
         x = _check_inputs(self, inputs)
         sig = sigmoid(x)
-        act = x * sig
+        # Nothing cached: the product takes the sigmoid's buffer.
+        act = x * sig if keep else np.multiply(x, sig, out=sig)
         basis = basis_values(self.grid, x)  # (batch, d_in, S)
         weighted = self.spline_scale[..., None] * self.spline_coeff
         # The width is explicit so that an empty batch reshapes too.
@@ -161,15 +187,15 @@ class FullKanLayer(_KanLayer):
                                      weighted.reshape(self.d_out, width).T)
         if not keep:
             return out, None
-        return out, LayerCache(self, x, sig=sig, act=act, basis=basis)
+        return out, LayerCache(self, x, sig=sig, basis=basis)
 
     def backward(self, cache: LayerCache, grad_out, input_grad: bool = True):
         g = _check_cache(self, cache, grad_out)
-        x, sig, act, basis = cache.inputs, cache.sig, cache.act, cache.basis
+        x, sig, basis = cache.inputs, cache.sig, cache.basis
         # The spline contractions are BLAS matmuls over the flattened
         # (d_in, basis) axis, its width explicit so n = 0 reshapes too.
         n, width = basis.shape[0], self.d_in * self.grid.basis_count
-        grad_base = g.T @ act
+        grad_base = g.T @ (x * sig)
         # One contraction over the batch serves both spline gradients.
         gb = (g.T @ basis.reshape(n, width)).reshape(self.spline_coeff.shape)
         grad_scale = np.sum(gb * self.spline_coeff, axis=-1)
@@ -177,11 +203,14 @@ class FullKanLayer(_KanLayer):
         grads = [grad_base, grad_scale, grad_coeff]
         if not input_grad:
             return None, grads
-        dbasis = basis_derivatives(self.grid, x)
-        weighted = self.spline_scale[..., None] * self.spline_coeff
-        spline_dx = (g @ weighted.reshape(self.d_out, width)).reshape(basis.shape)
+        weighted = (self.spline_scale[..., None] * self.spline_coeff
+                    ).reshape(self.d_out, width)
         grad_in = (g @ self.base_weight) * _silu_grad(x, sig)
-        grad_in += np.einsum("nit,nit->ni", spline_dx, dbasis)
+        # Each row's basis derivatives and spline slopes take one block.
+        for rows in _row_blocks(n, width):
+            dbasis = basis_derivatives(self.grid, x[rows])
+            spline_dx = (g[rows] @ weighted).reshape(dbasis.shape)
+            grad_in[rows] += np.einsum("nit,nit->ni", spline_dx, dbasis)
         return grad_in, grads
 
 
@@ -190,7 +219,9 @@ class SharedKanLayer(_KanLayer):
 
     ``forward`` evaluates each input's spline once, by the pp-form, for
     either value of ``keep``, so prediction and training logits have the
-    same bits; only ``keep=True`` builds the dense basis, for backward.
+    same bits, and builds no basis tensor. A training forward caches the
+    inputs, ``sig`` and the spline values; backward builds the basis and
+    its derivatives again one row block at a time.
     """
 
     kind = "shared"
@@ -206,29 +237,36 @@ class SharedKanLayer(_KanLayer):
                 ) -> tuple[np.ndarray, Optional[LayerCache]]:
         x = _check_inputs(self, inputs)
         sig = sigmoid(x)
-        act = x * sig
+        # Nothing cached: the product takes the sigmoid's buffer.
+        act = x * sig if keep else np.multiply(x, sig, out=sig)
         spline_vals = _pp_spline(self.grid, self.spline_coeff, x)
         out = act @ self.base_weight.T + spline_vals @ self.spline_scale.T
         if not keep:
             return out, None
-        # Backward contracts the dense basis for the coefficient gradient.
-        return out, LayerCache(self, x, sig=sig, act=act,
-                               basis=basis_values(self.grid, x),
-                               spline_vals=spline_vals)
+        return out, LayerCache(self, x, sig=sig, spline_vals=spline_vals)
 
     def backward(self, cache: LayerCache, grad_out, input_grad: bool = True):
         g = _check_cache(self, cache, grad_out)
-        x, sig, act = cache.inputs, cache.sig, cache.act
-        grad_base = g.T @ act
+        x, sig = cache.inputs, cache.sig
+        grad_base = g.T @ (x * sig)
         grad_scale = g.T @ cache.spline_vals
         # Every outgoing edge contributes to the one shared coefficient row.
         gs = g @ self.spline_scale  # (batch, d_in)
-        grad_coeff = np.einsum("ni,nit->it", gs, cache.basis)
+        # The basis is built again one row block at a time, and the
+        # blocks' partial sums add up in row order.
+        blocks = _row_blocks(x.shape[0], self.d_in * self.grid.basis_count)
+        grad_coeff = np.zeros(self.spline_coeff.shape)
+        for rows in blocks:
+            grad_coeff += np.einsum("ni,nit->it", gs[rows],
+                                    basis_values(self.grid, x[rows]))
         grads = [grad_base, grad_scale, grad_coeff]
         if not input_grad:
             return None, grads
-        dbasis = basis_derivatives(self.grid, x)
-        dspline = np.einsum("nit,it->ni", dbasis, self.spline_coeff)
+        dspline = np.empty_like(x)
+        for rows in blocks:
+            dspline[rows] = np.einsum("nit,it->ni",
+                                      basis_derivatives(self.grid, x[rows]),
+                                      self.spline_coeff)
         grad_in = (g @ self.base_weight) * _silu_grad(x, sig) + gs * dspline
         return grad_in, grads
 

@@ -74,20 +74,42 @@ class TestForward:
         assert np.all(np.isfinite(out))
 
 
+def traced_peak(run) -> int:
+    """``tracemalloc`` peak, in bytes, of one call of ``run``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSharedForwardMemory:
     def test_prediction_peak_is_a_few_inputs(self):
-        # A spatial layer's 9,920 band rows of 25 inputs: 4.3x with the
-        # pp-form evaluator (sig, act, spline values and the two products);
+        # A spatial layer's 9,920 band rows of 25 inputs: 3.3x with the
+        # pp-form evaluator (act in the sigmoid's buffer, the spline values
+        # and the two products); 4.3x while sig stayed beside act, and
         # 12.3x when the dense (9920, 25, 8) basis alone took 8x.
         layer = init_params("shared", 25, 16, grid=GRID, seed=0)
         x = np.random.default_rng(8).uniform(-1.3, 1.3, (9920, 25))
-        tracemalloc.start()
-        try:
-            layer.forward(x, keep=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.5 * x.nbytes
+        peak = traced_peak(lambda: layer.forward(x, keep=False))
+        assert peak <= 3.5 * x.nbytes
+
+
+class TestBackwardMemory:
+    @pytest.mark.parametrize("kind,d_in,d_out,bound", [("full", 16, 1, 8.0),
+                                                       ("shared", 25, 16, 5.0)])
+    def test_peak_is_a_few_inputs(self, kind, d_in, d_out, bound):
+        # The spatial layers of kan-ss and spectral-kan over 9,920 band
+        # rows. The basis (derivative) tensors take 2 MiB row blocks: full
+        # 6.9x and shared 4.0x of the inputs, against 18.0x and 12.0x while
+        # they spanned the batch.
+        layer = init_params(kind, d_in, d_out, grid=GRID, seed=0)
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-1.3, 1.3, (9920, d_in))
+        g = rng.standard_normal((9920, d_out))
+        _, cache = layer.forward(x)
+        assert traced_peak(lambda: layer.backward(cache, g)) <= bound * x.nbytes
 
 
 class TestFullRowInvariance:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from spectralkan import (DenseLayer, FullKanLayer, Model, ModelConfig,
                          PatchSet, SharedKanLayer, TrainConfig, Variant,
-                         build_model, load_checkpoint, save_checkpoint, train)
+                         build_model, gradient_check, load_checkpoint,
+                         save_checkpoint, softmax_cross_entropy, train)
 from spectralkan import layers
 from spectralkan.cli import predict_at
 from spectralkan.data import HsiCube
@@ -192,8 +193,9 @@ class TestForward:
 
 
 class TestSharedForwardBuildsNoBasis:
-    """Prediction evaluates the shared layers in pp form; training still
-    caches the dense basis that backward contracts."""
+    """Forward evaluates the shared layers in pp form, in prediction and in
+    training alike; only backward builds the dense basis, one row block at
+    a time, for the coefficient gradient."""
 
     @staticmethod
     def count_basis_values(monkeypatch):
@@ -211,6 +213,7 @@ class TestSharedForwardBuildsNoBasis:
                              [(Variant.SPECTRAL_KAN, 4), (Variant.KAN_ENC, 2)])
     def test_only_training_forward_builds_the_basis(self, variant, shared_layers,
                                                     monkeypatch):
+        # The name predates the blocked backward; forward now builds none.
         model = build_model(tiny_config(variant), seed=0)
         assert [layer.kind for layer in model.layers()] == ["shared"] * shared_layers
         rng = np.random.default_rng(1)
@@ -219,9 +222,12 @@ class TestSharedForwardBuildsNoBasis:
         calls = self.count_basis_values(monkeypatch)
         model.forward(patches, keep=False)
         predict_at(model, cube, np.argwhere(np.ones((4, 5), dtype=bool)))
+        logits, caches = model.forward(patches, keep=True)
         assert len(calls) == 0
-        model.forward(patches, keep=True)
-        assert len(calls) == shared_layers
+        model.backward(caches, logits)
+        # One call per layer, last layer first: its rows fit one block.
+        assert [x.shape for _, x in calls] == [
+            cache.inputs.shape for cache in reversed(caches)]
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_keep_changes_no_logit_bit_across_blocks(self, variant):
@@ -298,6 +304,107 @@ class TestBackwardInputGrad:
         finally:
             tracemalloc.stop()
         assert retained <= 22 * 2 ** 20
+
+
+KAN_VARIANTS = [Variant.KAN, Variant.KAN_ENC, Variant.KAN_SS,
+                Variant.SPECTRAL_KAN]
+
+
+class TestBlockedBackward:
+    """KAN backward builds its basis tensors in row blocks of at most
+    ``layers._BATCH_VALUES`` values. A 10-patch batch at p=3 has 40 band
+    rows of 9 inputs (72 basis values a row) and 40 or 10 rows of 4 inputs
+    (32 a row; the flat first layer has 288). A budget of 64 values gives
+    blocks of one and two rows; 216 cuts the 40 rows into 13 blocks of 3
+    and one of 1 row, and 288 cuts the 10 rows into 9 and 1."""
+
+    BUDGETS = [64, 216, 288]
+
+    @staticmethod
+    def step(variant):
+        model = build_model(tiny_config(variant), seed=4)
+        patches = np.random.default_rng(4).uniform(-1.2, 1.2, (10, 3, 3, 4))
+        logits, caches = model.forward(patches)
+        _, grad_logits = softmax_cross_entropy(logits, np.arange(10) % 2)
+        return model, caches, grad_logits
+
+    @staticmethod
+    def upstream(model, caches, grad_logits):
+        """Each layer, last first, with its cache and the upstream gradient
+        that the one-block backward hands it."""
+        stack, g, steps = model.layers(), grad_logits, []
+        for i in reversed(range(len(stack))):
+            if i == len(model.spatial_stack) - 1:
+                g = g.reshape(-1, 1)
+            steps.append((stack[i], caches[i], g))
+            g, _ = stack[i].backward(caches[i], g)
+        return steps
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("variant", KAN_VARIANTS)
+    def test_blocks_match_one_block(self, variant, budget, monkeypatch):
+        # Every layer, the first too, builds its input gradient here.
+        steps = self.upstream(*self.step(variant))
+        want = [layer.backward(cache, g) for layer, cache, g in steps]
+        monkeypatch.setattr(layers, "_BATCH_VALUES", budget)
+        rows = []
+        original = layers.basis_derivatives
+
+        def counted(grid, x):
+            rows.append(len(x))
+            return original(grid, x)
+
+        monkeypatch.setattr(layers, "basis_derivatives", counted)
+        got = [layer.backward(cache, g) for layer, cache, g in steps]
+        assert len(rows) >= 2 * len(steps)  # two blocks a layer at least
+        for (layer, _, _), (got_in, got_params), (want_in, want_params) in zip(
+                steps, got, want):
+            # Input gradients are formed row by row, so no bit moves; but
+            # OpenBLAS rounds a row of the full layer's g @ weighted by the
+            # height of its block once g has two columns.
+            if layer.kind == "shared" or layer.d_out == 1:
+                assert got_in.tobytes() == want_in.tobytes()
+            else:
+                assert np.abs(got_in - want_in).max() <= 1e-12 * np.abs(want_in).max()
+            for a, b in zip(got_params, want_params):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    @pytest.mark.parametrize("variant", KAN_VARIANTS)
+    def test_gradient_check_holds_across_blocks(self, variant, monkeypatch):
+        monkeypatch.setattr(layers, "_BATCH_VALUES", 216)
+        model = build_model(tiny_config(variant), seed=6)
+        patches = np.random.default_rng(6).uniform(-0.9, 0.9, (10, 3, 3, 4))
+        assert gradient_check(model, patches, np.arange(10) % 2) <= 1e-5
+
+    @pytest.mark.parametrize("variant", KAN_VARIANTS)
+    def test_empty_batch_gives_zero_parameter_grads(self, variant, monkeypatch):
+        monkeypatch.setattr(layers, "_BATCH_VALUES", 216)
+        model = build_model(tiny_config(variant), seed=0)
+        logits, caches = model.forward(np.zeros((0, 3, 3, 4)))
+        grads = model.backward(caches, logits)
+        assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
+        assert all(np.all(g == 0.0) for g in grads)
+
+
+class TestStepMemory:
+    def test_spectral_kan_step_peaks_below_kan(self):
+        # One forward + backward at batch 64, p=5, b=155: spectral-kan
+        # peaked at 52.9 MiB against kan's 29.5 while its shared layers
+        # cached the dense basis for backward; 15.7 against 27.6 with the
+        # basis built in backward's row blocks.
+        patches = np.random.default_rng(3).uniform(-1, 1, (64, 5, 5, 155))
+        peaks = {}
+        for variant in (Variant.SPECTRAL_KAN, Variant.KAN):
+            model = build_model(config_d(variant=variant), seed=0)
+            tracemalloc.start()
+            try:
+                logits, caches = model.forward(patches)
+                model.backward(caches, logits)
+                peaks[variant] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            del logits, caches
+        assert peaks[Variant.SPECTRAL_KAN] < peaks[Variant.KAN]
 
 
 class TestAccounting:
