@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -430,33 +431,23 @@ def save_pgm(grid: np.ndarray, path) -> None:
         fh.write(grid.tobytes())
 
 
+# "P5", then width, height and maxval, each after whitespace or "#"
+# comments that run to a newline, then the one whitespace byte before the
+# pixels. A number has at most 18 digits, far below int()'s 4,300.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d{1,18})" * 3 + rb"\s")
+
+
 def load_pgm(path) -> np.ndarray:
     blob = Path(path).read_bytes()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4 and pos < len(blob):
-        while pos < len(blob) and blob[pos:pos + 1].isspace():
-            pos += 1
-        if blob[pos:pos + 1] == b"#":  # comment runs to end of line
-            while pos < len(blob) and blob[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(blob[start:pos])
-    if len(fields) < 4 or fields[0] != b"P5":
+    header = _PGM_HEADER.match(blob)
+    if header is None:
         raise MalformedHeaderError(f"{path}: not a binary PGM")
-    try:
-        w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    except ValueError as exc:
-        raise MalformedHeaderError(f"{path}: bad PGM header") from exc
+    w, h, maxval = map(int, header.groups())
     if maxval != 255:
         raise MalformedHeaderError(f"{path}: expected maxval 255, got {maxval}")
     if h < 1 or w < 1:
         raise DimensionOverflowError(f"{path}: non-positive PGM dimensions")
-    pos += 1  # single whitespace byte after maxval
-    data = blob[pos:pos + h * w]
+    data = blob[header.end():header.end() + h * w]
     if len(data) != h * w:
         raise TruncatedPayloadError(
             f"{path}: expected {h * w} pixel bytes, found {len(data)}")

@@ -508,6 +508,28 @@ class TestPgm:
         grid = load_pgm(tmp_path / "c.pgm")
         assert np.array_equal(grid, np.array([[0, 1], [255, 0]], dtype=np.uint8))
 
+    @pytest.mark.parametrize("header", [
+        b"P5 # magic\n2 # width\n2 # height\n255\n",
+        b"P5\t2\n\n\n2\t\t255\n",
+    ], ids=["comments-between-tokens", "tabs-and-newlines"])
+    def test_header_separators(self, tmp_path, header):
+        (tmp_path / "s.pgm").write_bytes(header + b"\x00\x01\xff\x00")
+        grid = load_pgm(tmp_path / "s.pgm")
+        assert np.array_equal(grid, np.array([[0, 1], [255, 0]], dtype=np.uint8))
+
+    @pytest.mark.parametrize("blob", [
+        b"P5\n-2 2\n255\n\x00\x00\x00\x00",
+        b"P5\n2 two\n255\n\x00\x00\x00\x00",
+        b"P5\n2 2\n# no newline ends this comment",
+        b"P5\n2 2\n255",
+        b"P5\n" + b"9" * 5000 + b" 2\n255\n\x00\x00\x00\x00",
+    ], ids=["negative-dimension", "non-numeric-dimension",
+            "ends-inside-comment", "no-byte-after-maxval", "5000-digit-width"])
+    def test_bad_header_is_data_error(self, tmp_path, blob):
+        (tmp_path / "b.pgm").write_bytes(blob)
+        with pytest.raises(DataError):
+            load_pgm(tmp_path / "b.pgm")
+
     def test_truncated_pixels_detected(self, tmp_path):
         (tmp_path / "t.pgm").write_bytes(b"P5\n4 4\n255\n\x00\x01")
         with pytest.raises(TruncatedPayloadError):

@@ -98,12 +98,13 @@ class TestSharedForwardMemory:
 
 class TestBackwardMemory:
     @pytest.mark.parametrize("kind,d_in,d_out,bound", [("full", 16, 1, 8.0),
-                                                       ("shared", 25, 16, 5.0)])
+                                                       ("shared", 25, 16, 3.9)])
     def test_peak_is_a_few_inputs(self, kind, d_in, d_out, bound):
         # The spatial layers of kan-ss and spectral-kan over 9,920 band
         # rows. The basis (derivative) tensors take 2 MiB row blocks: full
-        # 6.9x and shared 4.0x of the inputs, against 18.0x and 12.0x while
-        # they spanned the batch.
+        # 6.9x and shared 3.66x of the inputs. Basis tensors spanning the
+        # batch read 18.0x and 12.0x, and the shared layer's whole-batch
+        # spline slopes 4.0x.
         layer = init_params(kind, d_in, d_out, grid=GRID, seed=0)
         rng = np.random.default_rng(9)
         x = rng.uniform(-1.3, 1.3, (9920, d_in))
