@@ -98,19 +98,28 @@ class TestSharedForwardMemory:
 
 class TestBackwardMemory:
     @pytest.mark.parametrize("kind,d_in,d_out,bound", [("full", 16, 1, 8.0),
-                                                       ("shared", 25, 16, 3.9)])
+                                                       ("shared", 25, 16, 5.0)])
     def test_peak_is_a_few_inputs(self, kind, d_in, d_out, bound):
         # The spatial layers of kan-ss and spectral-kan over 9,920 band
         # rows. The basis (derivative) tensors take 2 MiB row blocks: full
         # 6.9x and shared 3.66x of the inputs. Basis tensors spanning the
-        # batch read 18.0x and 12.0x, and the shared layer's whole-batch
-        # spline slopes 4.0x.
+        # batch read 18.0x and 12.0x.
+        assert self.backward_peak(kind, d_in, d_out) <= bound
+
+    def test_shared_peak_with_one_pass_over_row_blocks(self):
+        # The shared backward walks its row blocks once and holds no
+        # whole-batch spline slopes: 3.66x, against 4.0x with them.
+        assert self.backward_peak("shared", 25, 16) <= 3.9
+
+    @staticmethod
+    def backward_peak(kind, d_in, d_out):
+        """Backward's traced peak over 9,920 rows, in units of ``x.nbytes``."""
         layer = init_params(kind, d_in, d_out, grid=GRID, seed=0)
         rng = np.random.default_rng(9)
         x = rng.uniform(-1.3, 1.3, (9920, d_in))
         g = rng.standard_normal((9920, d_out))
         _, cache = layer.forward(x)
-        assert traced_peak(lambda: layer.backward(cache, g)) <= bound * x.nbytes
+        return traced_peak(lambda: layer.backward(cache, g)) / x.nbytes
 
 
 class TestFullRowInvariance:
