@@ -4,8 +4,9 @@
 the two epochs built in the array the first epoch is read into, and
 report on the same held-out split.
 
-Exit codes: 0 on success, 2 for configuration/contract problems, 3 for
-dataset or file problems, 4 for a failed numerical check. Option
+Exit codes: 0 on success, 2 for configuration/contract problems and for
+arrays too large for memory, 3 for dataset or file problems, 4 for a
+failed numerical check. Option
 precedence is flags over ``--config`` JSON values over built-in defaults.
 """
 
@@ -52,7 +53,8 @@ except (AttributeError, OSError, TypeError):  # no mallopt: not glibc
 
 def _parse_nodes(value) -> list[int] | None:
     """Node list from flag text or a --config list; ``None`` when absent
-    or empty, which selects the config's default."""
+    or empty, which selects the config's default. An empty field, as in
+    ``25,,1``, is an error."""
     if value is None:
         return None
     try:
@@ -60,7 +62,8 @@ def _parse_nodes(value) -> list[int] | None:
             # A list reads as its comma-joined text, so 25.0 and true fail
             # as they would in the flag.
             value = ",".join(map(str, value))
-        return [int(v) for v in value.replace(" ", "").split(",") if v] or None
+        text = value.replace(" ", "")
+        return [int(v) for v in text.split(",")] if text else None
     except (TypeError, ValueError):
         raise ContractError(f"node list must be comma-separated integers, got {value!r}")
 
@@ -349,6 +352,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ContractError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (DataError, UndefinedMetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)

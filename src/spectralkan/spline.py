@@ -12,13 +12,13 @@ knot span ``s`` with ``knots[s] <= x < knots[s+1]``, and only the
 ``degree + 1`` basis functions ``s - degree .. s`` are nonzero there.
 Inputs outside ``[knots[0], knots[-1])`` lie in no span, and every basis
 function is exactly zero there. The kernel walks the flattened input in
-blocks of ``_BLOCK_VALUES // basis_count`` inputs and makes three kinds
-of pass over each block, each an array operation written in place where
-it can be. The block is sized by the result values it writes, which
-dominate its memory, so that a block's result rows and temporaries stay
-in cache from one pass to the next at any ``basis_count``. Every input
-goes through the same operations in the same order whatever the block
-size, so blocking changes no bit of the result:
+blocks of ``_BLOCK_INPUTS`` (8,192) inputs, the block size of both
+kernels here, and makes three kinds of pass over each block, each an
+array operation written in place where it can be. The result values a
+block writes dominate its memory; at the default grid they take 512 KiB,
+so that a block's result rows and temporaries stay in cache from one pass
+to the next. Every input goes through the same operations in the same
+order whatever the block size, so blocking changes no bit of the result:
 
 1. *Span and offset.* ``x`` is bounded to the knot range, the span is
    estimated from the spacing and corrected by one comparison with the
@@ -50,16 +50,16 @@ a span the ``degree + 1`` nonzero weights are polynomials in the offset,
    for every input node ``i`` and span ``s``, a coefficient beyond the
    knot vector counting as zero, with all-zero rows for the spans -1 and
    ``len(knots) - 1`` outside the knots.
-2. *Span and offset,* per block of ``_PP_BLOCK_INPUTS`` inputs (whole
-   rows): ``x`` is bounded to ``[knots[0] - h/2, knots[-1]]``, then
-   ``z = (x - knots[0]) * (1/h)``, ``s = min(floor(z), spans - 1)`` and
-   ``u = z - s``. Below the knots ``floor(z)`` is -1; at or above the last
-   knot one comparison moves ``s`` to the zero row past the last span, so
-   every input outside ``[knots[0], knots[-1])`` gives an exact zero. The
-   estimate needs no correction next to a knot: the spline is continuous
-   there, so an offset just past 0 or 1 on the neighbouring span changes
-   it by rounding only. A degree-0 spline is a step, so it takes its span
-   from ``_span_offset``'s exact search.
+2. *Span and offset,* per block of ``_BLOCK_INPUTS`` inputs (whole rows,
+   at least one): ``x`` is bounded to ``[knots[0] - h/2, knots[-1]]``,
+   then ``z = (x - knots[0]) * (1/h)``, ``s = min(floor(z), spans - 1)``
+   and ``u = z - s``. Below the knots ``floor(z)`` is -1; at or above the
+   last knot one comparison moves ``s`` to the zero row past the last
+   span, so every input outside ``[knots[0], knots[-1])`` gives an exact
+   zero. The estimate needs no correction next to a knot: the spline is
+   continuous there, so an offset just past 0 or 1 on the neighbouring
+   span changes it by rounding only. A degree-0 spline is a step, so it
+   takes its span from ``_span_offset``'s exact search.
 3. *Horner,* on the block: ``val = T[k, i, s]``, then for ``m = k-1 .. 0``
    ``val = val * u + T[m, i, s]``, each power's coefficients gathered with
    ``take`` on the flat table.
@@ -79,12 +79,10 @@ from .errors import ContractError, DomainError
 
 
 _MAX_KNOTS = 4096  # far above any grid in use; bounds what a header can ask for
-# Result values per block: 512 KiB of float64, so that one block's result
-# and its temporaries stay in a 2 MiB L2 cache between the passes.
-_BLOCK_VALUES = 2**16
-# Inputs per block of the pp-form evaluator, whose few temporaries per
-# input then stay in cache from one pass to the next.
-_PP_BLOCK_INPUTS = 2**13
+# Inputs per block of both kernels. A dense block at the default grid
+# writes 512 KiB of float64, so that one block's result and temporaries
+# stay in a 2 MiB L2 cache between the passes.
+_BLOCK_INPUTS = 2**13
 
 
 @dataclass(frozen=True)
@@ -238,7 +236,7 @@ def _blocked(grid: SplineGrid, x, local) -> np.ndarray:
     n = xs.size
     spare = n * nb
     flat = np.empty(spare + 1)
-    block = max(1, _BLOCK_VALUES // nb)
+    block = _BLOCK_INPUTS
     for start in range(0, n, block):
         xb = xs[start:start + block]
         if not np.all(np.isfinite(xb)):
@@ -316,36 +314,29 @@ def _pp_spline(grid: SplineGrid, coeff: np.ndarray, x: np.ndarray) -> np.ndarray
     # Table index of span 0 of each input.
     first = np.arange(1, d_in * (spans + 2), spans + 2)
     out = np.empty((n, d_in))
-    rows = max(1, _PP_BLOCK_INPUTS // d_in)
-    shape = (min(rows, n), d_in)
-    u_buf, f_buf, coef_buf = np.empty(shape), np.empty(shape), np.empty(shape)
-    span_buf = np.empty(shape, dtype=np.intp)
+    rows = max(1, _BLOCK_INPUTS // d_in)
     for start in range(0, n, rows):
         xb = x[start:start + rows]
-        u, f, coef, span = (b[:len(xb)] for b in (u_buf, f_buf, coef_buf, span_buf))
         val = out[start:start + rows]
         # Below the knots z lies in [-1/2, 0), so its floor is -1.
-        np.maximum(xb, t[0] - 0.5 * h, out=u)
-        np.minimum(u, t[-1], out=u)
+        u = np.minimum(np.maximum(xb, t[0] - 0.5 * h), t[-1])
         u -= t[0]
         u *= 1.0 / h
-        np.floor(u, out=f)
-        np.minimum(f, spans - 1, out=f)
+        f = np.minimum(np.floor(u), spans - 1)
         u -= f
         if k == 0:
             # A step function: its span must follow the knots exactly, where
             # a continuous one forgives an estimate one span off at a knot.
-            span[...] = _span_offset(grid, xb.reshape(-1))[0].reshape(xb.shape)
+            span = _span_offset(grid, xb.reshape(-1))[0].reshape(xb.shape)
         else:
-            np.copyto(span, f, casting="unsafe")
+            span = f.astype(np.intp)
             span += xb >= t[-1]
         span += first
         # Every index is in range; "clip" lets take write to out unbuffered.
         np.take(table[k], span, out=val, mode="clip")
         for m in range(k - 1, -1, -1):
             val *= u
-            np.take(table[m], span, out=coef, mode="clip")
-            val += coef
+            val += table[m].take(span)
     return out
 
 

@@ -649,6 +649,22 @@ class TestCount:
                                         "--spectral-nodes", ""])
         assert empty == default
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--spatial-nodes", "25,,1"),
+        ("--spectral-nodes", "155,16,2,"),
+        ("config", [25, "", 1]),
+    ])
+    def test_empty_node_field_is_config_error(self, capsys, tmp_path, flag, value):
+        argv = ["count", "--bands", "155"]
+        if flag == "config":
+            config = tmp_path / "conf.json"
+            config.write_text(json.dumps({"spatial_nodes": value}))
+            argv += ["--config", str(config)]
+        else:
+            argv += [flag, value]
+        assert main(argv) == 2
+        assert "comma-separated integers" in capsys.readouterr().err
+
     def test_config_node_lists_count_like_flags(self, capsys, tmp_path):
         config = tmp_path / "conf.json"
         config.write_text(json.dumps({"spatial_nodes": [25, 1],
@@ -675,6 +691,22 @@ def test_python_dash_m_runs_the_cli_from_the_source_tree():
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["variant"] == "mlp"
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command", ["count", "train"])
+    def test_exits_2_with_one_error_line(self, dataset, tmp_path, monkeypatch,
+                                         capsys, command):
+        def build_model(config, seed):
+            raise MemoryError("Unable to allocate 18.5 GiB for an array")
+
+        monkeypatch.setattr(cli, "build_model", build_model)
+        argv = (["count", "--bands", "8"] if command == "count"
+                else train_args(dataset, tmp_path / "run", FAST_TRAIN))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: out of memory: Unable to allocate 18.5 GiB for an array"]
 
 
 class TestMallocThresholds:

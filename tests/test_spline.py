@@ -330,7 +330,7 @@ class TestBlockBoundaries:
         # time; the filler is random points inside the knots.
         pool = np.concatenate([special, rng.uniform(t[0], t[-1], 40)])
         alone = np.array([fn(g, v) for v in pool])
-        block = spline._BLOCK_VALUES // g.basis_count
+        block = spline._BLOCK_INPUTS
         n = 5 * block // 2
         edges = np.unique(np.concatenate([np.arange(0, n, block),
                                           np.arange(block - 1, n, block), [n - 1]]))
@@ -407,5 +407,5 @@ class TestPiecewisePolynomial:
         # Blocks of one row, of eight rows (a short last block) and one
         # block for all.
         for block in (1, 200, x.size):
-            monkeypatch.setattr(spline, "_PP_BLOCK_INPUTS", block)
+            monkeypatch.setattr(spline, "_BLOCK_INPUTS", block)
             assert spline._pp_spline(g, coeff, x).tobytes() == whole.tobytes()
