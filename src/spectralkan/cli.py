@@ -159,14 +159,16 @@ def _batch_size(model: Model) -> int:
 
 def predict_at(model: Model, cube: HsiCube, coords: np.ndarray) -> np.ndarray:
     """Predicted class for each coordinate, extracted and run in batches
-    small enough for every layer's arrays to stay in cache."""
+    small enough for every layer's arrays to stay in cache. Each layer's
+    operand is prepared once per call and read by every batch."""
     p = model.config.patch_size
     coords = _pixel_coords(coords)
     batch = _batch_size(model)
+    prepared = model.prepare()
     out = np.empty(len(coords), dtype=np.uint8)
     for start in range(0, len(coords), batch):
         patches = extract_patches(cube, coords[start:start + batch], p)
-        logits, _ = model.forward(patches, keep=False)
+        logits, _ = model.forward(patches, keep=False, prepared=prepared)
         out[start:start + batch] = np.argmax(logits, axis=1)
     return out
 

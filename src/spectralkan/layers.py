@@ -34,9 +34,22 @@ identical BLAS call per batch row (``_row_invariant_matmul``). A plain
 ``batch @ W.T`` goes through a kernel whose rounding of a row depends on
 the batch size and the row's position, so a pixel's logits would move
 with the prediction batch it lands in; the per-row call keeps every row's
-bits fixed. The other layers still use the plain products. A cache holds
-only per-batch arrays: the backward pass forms ``spline_scale *
-spline_coeff`` again, and only when it builds the input gradient.
+bits fixed. A product wider than ``_CHUNK_COLUMNS`` (4,096) columns runs
+in consecutive column chunks whose partial products add up in chunk
+order, so that one chunk of the weights (512 KiB at 16 outputs) stays in
+a 2 MiB L2 cache from one row to the next instead of being read from
+memory once per row. The other layers still use the plain products.
+
+A KAN layer's ``prepare()`` returns the operand its forward derives from
+the parameters alone: the full layer's ``weighted = spline_scale *
+spline_coeff`` as a ``(d_out, d_in * basis_count)`` array, the shared
+layer's pp-form table (``spline._pp_table``); a dense layer has none.
+``forward(x, keep, prepared)`` uses a given operand and otherwise
+prepares its own, so a caller that runs many batches through unchanged
+parameters, as prediction does, prepares once. The parameters must not
+change between ``prepare()`` and the forwards that use its result. A
+cache holds only per-batch arrays: the full layer's backward prepares
+``weighted`` again, and only when it builds the input gradient.
 
 No cache holds the SiLU output ``x * sig``, which backward forms again
 with the same bits, nor a basis tensor except the full layer's, which its
@@ -56,13 +69,18 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .spline import SplineGrid, _pp_spline, basis_derivatives, basis_values
+from .spline import (SplineGrid, _pp_spline, _pp_table, basis_derivatives,
+                     basis_values)
 
 KINDS = ("full", "shared", "dense")
 
 # Float64 values (2 MiB) that a basis tensor of one backward row block, or
 # of one prediction batch (``cli._batch_size``), may hold.
 _BATCH_VALUES = 2 ** 18
+
+# Contraction columns per chunk of ``_row_invariant_matmul``. A constant, so
+# that a row's sum does not depend on its batch.
+_CHUNK_COLUMNS = 4096
 
 
 def _row_blocks(n: int, width: int) -> list[slice]:
@@ -125,11 +143,29 @@ def _check_cache(layer, cache: LayerCache, grad_out) -> np.ndarray:
     return grad_out
 
 
+def _check_prepared(layer, prepared, shape: tuple):
+    """``prepared`` if it has the shape of ``layer``'s operand, else a
+    fresh ``layer.prepare()`` when it is ``None``."""
+    if prepared is None:
+        return layer.prepare()
+    if np.shape(prepared) != shape:
+        raise ContractError(f"expected a prepared operand of shape {shape}, "
+                            f"got {np.shape(prepared)}")
+    return prepared
+
+
 def _row_invariant_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for a 2-D ``a``, computed as one identical BLAS product
-    per row of ``a``, so a row's result does not depend on where it sits
-    in the batch or on how many rows there are."""
-    return np.matmul(a.reshape(a.shape[0], 1, a.shape[1]), b)[:, 0]
+    per row of ``a`` and chunk of ``_CHUNK_COLUMNS`` contraction columns,
+    the chunks' partial products added in order, so a row's result does
+    not depend on where it sits in the batch or on how many rows there
+    are."""
+    rows = a.reshape(a.shape[0], 1, a.shape[1])
+    out = np.matmul(rows[..., :_CHUNK_COLUMNS], b[:_CHUNK_COLUMNS])[:, 0]
+    for start in range(_CHUNK_COLUMNS, a.shape[1], _CHUNK_COLUMNS):
+        cols = slice(start, start + _CHUNK_COLUMNS)
+        out += np.matmul(rows[..., cols], b[cols])[:, 0]
+    return out
 
 
 class _KanLayer:
@@ -173,19 +209,25 @@ class FullKanLayer(_KanLayer):
     def flop_count(self) -> int:
         return 102 * self.d_in * self.d_out
 
-    def forward(self, inputs, keep: bool = True
+    def prepare(self) -> np.ndarray:
+        """``spline_scale * spline_coeff`` as a C-contiguous
+        ``(d_out, d_in * basis_count)`` array."""
+        return (self.spline_scale[..., None] * self.spline_coeff
+                ).reshape(self.d_out, self.d_in * self.grid.basis_count)
+
+    def forward(self, inputs, keep: bool = True, prepared=None
                 ) -> tuple[np.ndarray, Optional[LayerCache]]:
         x = _check_inputs(self, inputs)
+        # The width is explicit so that an empty batch reshapes too.
+        width = self.d_in * self.grid.basis_count
+        weighted = _check_prepared(self, prepared, (self.d_out, width))
         sig = sigmoid(x)
         # Nothing cached: the product takes the sigmoid's buffer.
         act = x * sig if keep else np.multiply(x, sig, out=sig)
         basis = basis_values(self.grid, x)  # (batch, d_in, S)
-        weighted = self.spline_scale[..., None] * self.spline_coeff
-        # The width is explicit so that an empty batch reshapes too.
-        width = self.d_in * self.grid.basis_count
         out = _row_invariant_matmul(act, self.base_weight.T)
         out += _row_invariant_matmul(basis.reshape(x.shape[0], width),
-                                     weighted.reshape(self.d_out, width).T)
+                                     weighted.T)
         if not keep:
             return out, None
         return out, LayerCache(self, x, sig=sig, basis=basis)
@@ -204,8 +246,7 @@ class FullKanLayer(_KanLayer):
         grads = [grad_base, grad_scale, grad_coeff]
         if not input_grad:
             return None, grads
-        weighted = (self.spline_scale[..., None] * self.spline_coeff
-                    ).reshape(self.d_out, width)
+        weighted = self.prepare()
         grad_in = (g @ self.base_weight) * _silu_grad(x, sig)
         # Each row's basis derivatives and spline slopes take one block.
         for rows in _row_blocks(n, width):
@@ -235,13 +276,21 @@ class SharedKanLayer(_KanLayer):
     def flop_count(self) -> int:
         return 100 * self.d_in + 2 * self.d_in * self.d_out
 
-    def forward(self, inputs, keep: bool = True
+    def prepare(self) -> np.ndarray:
+        """The pp-form table of the coefficients (``spline._pp_table``)."""
+        return _pp_table(self.grid, self.spline_coeff)
+
+    def forward(self, inputs, keep: bool = True, prepared=None
                 ) -> tuple[np.ndarray, Optional[LayerCache]]:
         x = _check_inputs(self, inputs)
+        # One row per power, one column per input node and span (spans -1
+        # and len(knots) - 1 included).
+        table = _check_prepared(self, prepared, (
+            self.grid.degree + 1, self.d_in * (len(self.grid.knots) + 1)))
         sig = sigmoid(x)
         # Nothing cached: the product takes the sigmoid's buffer.
         act = x * sig if keep else np.multiply(x, sig, out=sig)
-        spline_vals = _pp_spline(self.grid, self.spline_coeff, x)
+        spline_vals = _pp_spline(self.grid, table, x)
         out = act @ self.base_weight.T + spline_vals @ self.spline_scale.T
         if not keep:
             return out, None
@@ -291,9 +340,15 @@ class DenseLayer:
     def flop_count(self) -> int:
         return 2 * self.d_in * self.d_out + self.d_out
 
-    def forward(self, inputs, keep: bool = True
+    def prepare(self) -> None:
+        """A dense layer's forward reads its parameters as they are."""
+        return None
+
+    def forward(self, inputs, keep: bool = True, prepared=None
                 ) -> tuple[np.ndarray, Optional[LayerCache]]:
         x = _check_inputs(self, inputs)
+        if prepared is not None:
+            raise ContractError("a dense layer takes no prepared operand")
         z = x @ self.weight.T
         z += self.bias
         if not self.activate:

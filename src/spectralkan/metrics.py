@@ -18,9 +18,17 @@ class ConfusionMatrix:
         default_factory=lambda: np.zeros((2, 2), dtype=np.int64))
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.shape != (2, 2) or np.any(self.counts < 0):
-            raise ContractError("confusion matrix must be 2x2 and non-negative")
+        raw = np.asarray(self.counts)
+        if (raw.shape != (2, 2) or raw.dtype.kind not in "biuf"
+                or not np.all(np.isfinite(raw))):
+            raise ContractError("confusion matrix must be 2x2 and finite")
+        # A count beyond the int64 range casts to some other value, which
+        # the comparison below rejects.
+        with np.errstate(invalid="ignore"):
+            self.counts = raw.astype(np.int64)
+        if np.any(self.counts != raw) or np.any(self.counts < 0):
+            raise ContractError(
+                "confusion matrix counts must be non-negative whole numbers")
 
     @property
     def total(self) -> int:
@@ -34,11 +42,15 @@ def tally(pred: np.ndarray, truth: np.ndarray) -> ConfusionMatrix:
     if pred.shape != truth.shape:
         raise ContractError(
             f"prediction and truth sizes differ: {pred.shape} vs {truth.shape}")
+    # Values are checked as given, before any cast could round them.
+    if not np.all(np.isin(truth, (0, 1, UNKNOWN))):
+        raise ContractError(f"truth must be 0, 1 or {UNKNOWN}")
     known = truth != UNKNOWN
-    t, q = truth[known].astype(np.int64), pred[known].astype(np.int64)
+    t, q = truth[known], pred[known]
     if not np.all(np.isin(q, (0, 1))):
         raise ContractError("predictions must be 0 or 1 on evaluated pixels")
-    counts = np.bincount(t * 2 + q, minlength=4).reshape(2, 2)
+    counts = np.bincount(t.astype(np.int64) * 2 + q.astype(np.int64),
+                         minlength=4).reshape(2, 2)
     return ConfusionMatrix(counts)
 
 

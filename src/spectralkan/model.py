@@ -156,22 +156,37 @@ class Model:
         rows = np.ascontiguousarray(patches.transpose(0, 3, 1, 2), dtype=np.float64)
         return rows.reshape(n * b, p * p)
 
-    def forward(self, patches, keep: bool = True) -> tuple[np.ndarray, list]:
+    def prepare(self) -> list:
+        """Each layer's ``prepare()``, in ``layers()`` order: the operands
+        that the forward derives from the parameters alone, ``None`` for a
+        dense layer. Valid until the parameters next change."""
+        return [layer.prepare() for layer in self.layers()]
+
+    def forward(self, patches, keep: bool = True, prepared: Optional[list] = None
+                ) -> tuple[np.ndarray, list]:
         """Run a batch of patches to logits; also returns layer caches.
 
         With ``keep=False`` no layer keeps its intermediates and the cache
         list is empty, so each layer's arrays are freed once the next one
-        has run; ``backward`` rejects that empty list.
+        has run; ``backward`` rejects that empty list. ``prepared``, from
+        :meth:`prepare` with the parameters unchanged since, spares each
+        layer preparing its operand again; the logits are the same bits.
         """
         patches = self._check_patches(patches)
+        layers = self.layers()
+        if prepared is None:
+            prepared = [None] * len(layers)
+        elif len(prepared) != len(layers):
+            raise ContractError(f"expected {len(layers)} prepared operands, "
+                                f"got {len(prepared)}")
         n = patches.shape[0]
         x = self._band_rows(patches)
         caches = []
-        for i, layer in enumerate(self.layers()):
+        for i, layer in enumerate(layers):
             if i == len(self.spatial_stack):
                 # (n*b, d) -> (n, b*d), width explicit so n = 0 reshapes too.
                 x = x.reshape(n, self.config.bands * x.shape[1])
-            x, cache = layer.forward(x, keep)
+            x, cache = layer.forward(x, keep, prepared[i])
             if keep:
                 caches.append(cache)
         return x, caches

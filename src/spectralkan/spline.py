@@ -46,10 +46,12 @@ a span the ``degree + 1`` nonzero weights are polynomials in the offset,
 ``w = M @ [1, u, ..., u**degree]``; ``M`` comes once per degree from
 ``_local_basis`` (``_power_matrix``). The evaluator runs in three steps:
 
-1. *Table,* once per call: ``T[m, i, s] = coeff[i, s-k .. s] @ M[:, m]``
-   for every input node ``i`` and span ``s``, a coefficient beyond the
-   knot vector counting as zero, with all-zero rows for the spans -1 and
-   ``len(knots) - 1`` outside the knots.
+1. *Table,* built by the caller with ``_pp_table`` and passed in, so
+   that one table serves every batch run through the same coefficients:
+   ``T[m, i, s] = coeff[i, s-k .. s] @ M[:, m]`` for every input node
+   ``i`` and span ``s``, a coefficient beyond the knot vector counting as
+   zero, with all-zero rows for the spans -1 and ``len(knots) - 1``
+   outside the knots.
 2. *Span and offset,* per block of ``_BLOCK_INPUTS`` inputs (whole rows,
    at least one): ``x`` is bounded to ``[knots[0] - h/2, knots[-1]]``,
    then ``z = (x - knots[0]) * (1/h)``, ``s = min(floor(z), spans - 1)``
@@ -302,14 +304,14 @@ def _pp_table(grid: SplineGrid, coeff: np.ndarray) -> np.ndarray:
     return _power_matrix(k).T @ windows.reshape(k + 1, -1)
 
 
-def _pp_spline(grid: SplineGrid, coeff: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _pp_spline(grid: SplineGrid, table: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``einsum("nit,it->ni", basis_values(grid, x), coeff)`` for the finite
     2-D ``x`` of shape ``(n, d_in)``, by the pp-form (steps in the module
-    docstring); no basis tensor is built.
+    docstring) on ``table = _pp_table(grid, coeff)``; no basis tensor is
+    built.
     """
     k, t, h = grid.degree, grid.knots, grid.spacing
     spans = len(t) - 1
-    table = _pp_table(grid, coeff)
     n, d_in = x.shape
     # Table index of span 0 of each input.
     first = np.arange(1, d_in * (spans + 2), spans + 2)

@@ -17,6 +17,7 @@ from spectralkan import (HsiCube, LabelMap, Variant, build_model, difference,
                          SplineGrid, synth_dataset)
 from spectralkan import cli
 from spectralkan import data as data_mod
+from spectralkan import layers
 from spectralkan.cli import _batch_size, build_parser, main, predict_at
 from spectralkan.data import save_cube, save_labels
 from spectralkan.errors import ContractError, DataError, MalformedHeaderError
@@ -598,6 +599,29 @@ class TestPredictAt:
     def test_rejects_malformed_coords(self, coords):
         with pytest.raises(ContractError, match="coordinates"):
             predict_at(ablation_model(Variant.SPECTRAL_KAN, 30), scene(6, 30), coords)
+
+    @pytest.mark.parametrize("variant,operands", [
+        (Variant.KAN, 2), (Variant.KAN_ENC, 2), (Variant.KAN_SS, 4),
+        (Variant.SPECTRAL_KAN, 4),
+    ])
+    def test_each_operand_is_prepared_once_per_call(self, variant, operands,
+                                                    monkeypatch):
+        cube = scene(14, 30, seed=1)
+        model = ablation_model(variant, 30, seed=2)
+        coords = np.argwhere(np.ones((14, 14), dtype=bool))
+        assert len(coords) > 3 * _batch_size(model)
+        calls = []
+        for owner, name in ((layers, "_pp_table"),
+                            (layers.FullKanLayer, "prepare")):
+            original = getattr(owner, name)
+
+            def counted(*args, original=original):
+                calls.append(args)
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        predict_at(model, cube, coords)
+        assert len(calls) == operands
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_peak_memory_of_a_full_scene_stays_small(self, variant):

@@ -7,7 +7,7 @@ import pytest
 from spectralkan import (FullKanLayer, SharedKanLayer, SplineGrid,
                          init_params)
 from spectralkan.errors import ContractError, DomainError
-from spectralkan.layers import sigmoid
+from spectralkan.layers import _row_invariant_matmul, sigmoid
 
 from oracles import fd_loss_grads, max_rel_err
 
@@ -141,6 +141,53 @@ class TestFullRowInvariance:
             out, _ = layer.forward(np.repeat(x[:1], n, axis=0), keep=False)
             np.testing.assert_array_equal(
                 out.view(np.uint64), np.repeat(alone[:1], n, axis=0).view(np.uint64))
+
+
+class TestChunkedRowInvariantMatmul:
+    """The product runs in column chunks of a fixed width, so a row's bits
+    still do not depend on its batch."""
+
+    @pytest.mark.parametrize("width", [1, 4095, 4096, 4097, 31000])
+    def test_row_alone_matches_row_in_batch(self, width):
+        rng = np.random.default_rng(width)
+        a = rng.uniform(-1.0, 1.0, (9, width))
+        # Laid out as the full layer's ``weighted.T``.
+        b = rng.uniform(-1.0, 1.0, (16, width)).T
+        whole = _row_invariant_matmul(a, b)
+        for i in range(len(a)):
+            alone = _row_invariant_matmul(a[i:i + 1], b)
+            assert alone.tobytes() == whole[i:i + 1].tobytes()
+        want = a @ b
+        assert np.abs(whole - want).max() <= 1e-14 * np.abs(want).max()
+
+
+class TestPreparedOperand:
+    """A forward given its layer's ``prepare()`` result matches one that
+    prepares its own, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["full", "shared", "dense"])
+    def test_prepared_forward_is_bit_identical(self, kind):
+        layer = init_params(kind, 30, 7, grid=GRID, seed=4)
+        x = np.random.default_rng(5).uniform(-1.3, 1.3, (11, 30))
+        for keep in (True, False):
+            own, _ = layer.forward(x, keep=keep)
+            given, _ = layer.forward(x, keep=keep, prepared=layer.prepare())
+            assert given.tobytes() == own.tobytes()
+
+    @pytest.mark.parametrize("kind", ["full", "shared"])
+    def test_rejects_operand_of_another_layer_shape(self, kind):
+        layer = init_params(kind, 30, 7, grid=GRID, seed=4)
+        x = np.zeros((2, 30))
+        for other in (init_params(kind, 31, 7, grid=GRID),
+                      init_params(kind, 30, 7, grid=SplineGrid(2, 5))):
+            with pytest.raises(ContractError, match="prepared operand"):
+                layer.forward(x, prepared=other.prepare())
+
+    def test_dense_layer_takes_no_operand(self):
+        layer = init_params("dense", 30, 7, seed=4)
+        assert layer.prepare() is None
+        with pytest.raises(ContractError, match="prepared operand"):
+            layer.forward(np.zeros((2, 30)), prepared=np.zeros((7, 30)))
 
 
 def two_branch_sigmoid(x):

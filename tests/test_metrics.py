@@ -106,3 +106,34 @@ class TestProperties:
         assert abs(payload["kappa"] - 0.6) <= 1e-12
         assert payload["confusion"] == [[40, 10], [10, 40]]
         assert payload["evaluated_pixels"] == 100
+
+
+class TestValueChecks:
+    """Values are checked as given; none is rounded into a count."""
+
+    @pytest.mark.parametrize("pred,truth", [
+        ([0.7, 1.9], [1, 1]), ([0, 2], [0, 1]), ([0, 1], [2, 1]),
+        ([0, 1], [-1, 1]), ([0, 1], [0.5, 1]), ([0, 1], [np.nan, 1]),
+    ], ids=["fractional-pred", "pred-2", "truth-2", "truth-minus-1",
+            "fractional-truth", "nan-truth"])
+    def test_tally_rejects_values_outside_the_classes(self, pred, truth):
+        with pytest.raises(ContractError):
+            tally(np.array(pred), np.array(truth))
+
+    def test_tally_ignores_predictions_on_unknown_pixels(self):
+        result = tally(np.array([0.5, 1.0, 0.0]), np.array([255, 1, 0]))
+        assert result.counts.tolist() == [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize("counts", [
+        [[0.5, 2.7], [1, 3]], [[0.5, 0], [0, 0.9]], [[np.inf, 0], [0, 1]],
+        [[np.nan, 0], [0, 1]], [[1e30, 0], [0, 1]], [[-1, 0], [0, 0]],
+        [[1, 2, 3], [4, 5, 6]],
+    ], ids=["fractions", "fractions-below-one", "inf", "nan", "beyond-int64",
+            "negative", "2x3"])
+    def test_confusion_matrix_rejects_counts_that_are_not_whole(self, counts):
+        with pytest.raises(ContractError):
+            ConfusionMatrix(np.array(counts))
+
+    def test_confusion_matrix_keeps_whole_floats(self):
+        assert ConfusionMatrix(np.array([[1.0, 2.0], [3.0, 4.0]])).counts.tolist() \
+            == [[1, 2], [3, 4]]

@@ -192,6 +192,55 @@ class TestForward:
             model.backward(caches[:-1], logits)
 
 
+class TestPreparedForward:
+    """``Model.forward`` given ``Model.prepare()`` gives the same bits as
+    one whose layers prepare their own operands."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("p,b", [(5, 155), (3, 4)])
+    def test_prepared_forward_is_bit_identical(self, variant, p, b):
+        model = build_model(ModelConfig(variant=variant, patch_size=p, bands=b),
+                            seed=6)
+        patches = np.random.default_rng(7).uniform(-1.2, 1.2, (9, p, p, b))
+        prepared = model.prepare()
+        assert len(prepared) == len(model.layers())
+        for keep in (True, False):
+            own, _ = model.forward(patches, keep=keep)
+            given, _ = model.forward(patches, keep=keep, prepared=prepared)
+            assert given.tobytes() == own.tobytes()
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_rejects_list_of_wrong_length(self, variant):
+        model = build_model(tiny_config(variant), seed=0)
+        prepared = model.prepare()
+        for wrong in (prepared[:-1], prepared + [None], []):
+            with pytest.raises(ContractError, match="prepared operands"):
+                model.forward(np.zeros((2, 3, 3, 4)), prepared=wrong)
+
+    @pytest.mark.parametrize("variant", [Variant.KAN, Variant.KAN_ENC,
+                                         Variant.KAN_SS, Variant.SPECTRAL_KAN])
+    def test_rejects_operands_of_another_model(self, variant):
+        model = build_model(tiny_config(variant), seed=0)
+        # As many layers, of other widths.
+        other = build_model(ModelConfig(variant=variant, patch_size=3, bands=4,
+                                        spatial_nodes=[9, 5, 1],
+                                        spectral_nodes=[4, 5, 2]), seed=0)
+        with pytest.raises(ContractError, match="prepared operand"):
+            model.forward(np.zeros((2, 3, 3, 4)), prepared=other.prepare())
+
+    @pytest.mark.parametrize("variant", [Variant.KAN, Variant.KAN_SS])
+    def test_full_layer_logits_do_not_depend_on_the_batch(self, variant):
+        # kan's first layer contracts 3,875 * 8 = 31,000 columns, several
+        # chunks of the row-invariant product.
+        model = build_model(config_d(variant=variant), seed=3)
+        patches = np.random.default_rng(4).uniform(-1.0, 1.0, (33, 5, 5, 155))
+        prepared = model.prepare()
+        first = model.forward(patches[:1], keep=False, prepared=prepared)[0][0]
+        for n in range(2, len(patches) + 1):
+            logits, _ = model.forward(patches[:n], keep=False, prepared=prepared)
+            assert logits[0].tobytes() == first.tobytes(), n
+
+
 class TestSharedForwardBuildsNoBasis:
     """Forward evaluates the shared layers in pp form, in prediction and in
     training alike; only backward builds the dense basis, one row block at

@@ -1,6 +1,14 @@
-"""The package's exported names, pinned so removed API cannot return unnoticed."""
+"""The package's exported names, pinned so removed API cannot return
+unnoticed, and the README's library example, run as documented."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import spectralkan
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = [
     "HsiCube", "LabelMap", "PatchSet", "SplitSpec", "difference",
@@ -25,3 +33,12 @@ def test_all_is_pinned():
 def test_every_exported_name_resolves():
     for name in spectralkan.__all__:
         assert getattr(spectralkan, name, None) is not None, name
+
+
+def test_readme_library_example_runs(tmp_path):
+    section = (ROOT / "README.md").read_text().split("## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr

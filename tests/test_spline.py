@@ -381,7 +381,7 @@ class TestPiecewisePolynomial:
         with np.errstate(over="raise", divide="raise", invalid="raise"), \
                 warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = spline._pp_spline(g, coeff, x)
+            got = spline._pp_spline(g, spline._pp_table(g, coeff), x)
         assert got.shape == x.shape and got.dtype == np.float64
         assert np.abs(got - _dense_spline(g, coeff, x)).max() <= 1e-12
         assert np.all(got[(x < t[0]) | (x >= t[-1])] == 0.0)
@@ -403,9 +403,10 @@ class TestPiecewisePolynomial:
         x = np.concatenate([special, rng.uniform(-3.0, 3.0, 2250 - special.size)])
         x = rng.permutation(x).reshape(90, 25)
         coeff = rng.uniform(-1.0, 1.0, (25, g.basis_count))
-        whole = spline._pp_spline(g, coeff, x)
+        whole = spline._pp_spline(g, spline._pp_table(g, coeff), x)
         # Blocks of one row, of eight rows (a short last block) and one
         # block for all.
         for block in (1, 200, x.size):
             monkeypatch.setattr(spline, "_BLOCK_INPUTS", block)
-            assert spline._pp_spline(g, coeff, x).tobytes() == whole.tobytes()
+            assert spline._pp_spline(g, spline._pp_table(g, coeff),
+                                     x).tobytes() == whole.tobytes()
