@@ -29,8 +29,8 @@ from .data import (HsiCube, LabelMap, difference, extract_patches,
 from .errors import ContractError, DataError, DomainError, UndefinedMetricError
 from .layers import _BATCH_VALUES
 from .metrics import report, tally
-from .model import (Model, ModelConfig, Variant, build_model, load_checkpoint,
-                    save_checkpoint)
+from .model import (Model, ModelConfig, Variant, _outline, build_model,
+                    load_checkpoint, save_checkpoint)
 from .training import TrainConfig, gradient_check, train
 
 CHECK_FAILED = 4
@@ -248,7 +248,7 @@ def cmd_count(args) -> int:
     if args.bands is None:
         raise ContractError("--bands is required for accounting")
     config = _model_config(args, args.bands)
-    model = build_model(config, seed=0)
+    model = _outline(config)
     per_layer = [{
         "stack": stack_name, "index": i, "kind": layer.kind,
         "d_in": layer.d_in, "d_out": layer.d_out,

@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one integer check.
 
 The CLI maps these onto distinct exit codes: contract/config problems,
 data/file problems, and failed numerical checks are kept separate.
 """
+
+import numpy as np
 
 
 class ContractError(ValueError):
@@ -31,3 +33,10 @@ class TruncatedPayloadError(DataError):
 
 class DimensionOverflowError(DataError):
     """Declared raster dimensions are non-positive or implausibly large."""
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``: a bool or a float such as 5.0 is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -23,10 +23,11 @@ parameter gradients are the same either way. A model's first layer runs
 so, since nothing reads the gradient of the input data.
 ``forward(x, keep=False)`` returns ``(outputs, None)`` and keeps nothing
 for a backward pass, so prediction frees each layer's intermediates as
-soon as the layer is done. A layer's parameter count is the total size of
-its ``params()``. FLOP counts follow a fixed cost convention: SiLU costs
-4, a spline evaluation 96, and each weight multiplication 1, per scalar
-input element.
+soon as the layer is done. ``_param_shapes`` states each kind's parameter
+shapes, which every constructor checks; a layer's parameter count is the
+total size of its ``params()``. FLOP counts follow a fixed cost
+convention: SiLU costs 4, a spline evaluation 96, and each weight
+multiplication 1, per scalar input element.
 
 ``FullKanLayer.forward`` forms both of its products, the SiLU path and
 the spline contraction over the flattened ``(d_in, basis)`` axis, as one
@@ -71,8 +72,6 @@ import numpy as np
 from .errors import ContractError, DomainError
 from .spline import (SplineGrid, _pp_spline, _pp_table, basis_derivatives,
                      basis_values)
-
-KINDS = ("full", "shared", "dense")
 
 # Float64 values (2 MiB) that a basis tensor of one backward row block, or
 # of one prediction batch (``cli._batch_size``), may hold.
@@ -175,17 +174,9 @@ class _KanLayer:
     param_names = ("base_weight", "spline_scale", "spline_coeff")
 
     def __init__(self, base_weight, spline_scale, spline_coeff, grid: SplineGrid):
-        self.base_weight = np.asarray(base_weight, dtype=np.float64)
-        self.spline_scale = np.asarray(spline_scale, dtype=np.float64)
-        self.spline_coeff = np.asarray(spline_coeff, dtype=np.float64)
         self.grid = grid
-        d_out, d_in = self.base_weight.shape
-        if self.spline_scale.shape != (d_out, d_in):
-            raise ContractError("spline_scale shape mismatch")
-        if self.spline_coeff.shape != self._coeff_shape(d_out, d_in,
-                                                        grid.basis_count):
-            raise ContractError("spline_coeff shape mismatch")
-        self.d_out, self.d_in = d_out, d_in
+        _set_params(self, [base_weight, spline_scale, spline_coeff],
+                    grid.basis_count)
 
     def params(self) -> list[np.ndarray]:
         return [self.base_weight, self.spline_scale, self.spline_coeff]
@@ -201,10 +192,6 @@ class FullKanLayer(_KanLayer):
     """
 
     kind = "full"
-
-    @staticmethod
-    def _coeff_shape(d_out: int, d_in: int, basis_count: int) -> tuple:
-        return (d_out, d_in, basis_count)
 
     def flop_count(self) -> int:
         return 102 * self.d_in * self.d_out
@@ -269,10 +256,6 @@ class SharedKanLayer(_KanLayer):
 
     kind = "shared"
 
-    @staticmethod
-    def _coeff_shape(d_out: int, d_in: int, basis_count: int) -> tuple:
-        return (d_in, basis_count)
-
     def flop_count(self) -> int:
         return 100 * self.d_in + 2 * self.d_in * self.d_out
 
@@ -326,13 +309,8 @@ class DenseLayer:
     param_names = ("weight", "bias")
 
     def __init__(self, weight, bias, activate: bool = True):
-        self.weight = np.asarray(weight, dtype=np.float64)
-        self.bias = np.asarray(bias, dtype=np.float64)
         self.activate = bool(activate)
-        d_out, d_in = self.weight.shape
-        if self.bias.shape != (d_out,):
-            raise ContractError("bias shape mismatch")
-        self.d_out, self.d_in = d_out, d_in
+        _set_params(self, [weight, bias])
 
     def params(self) -> list[np.ndarray]:
         return [self.weight, self.bias]
@@ -367,6 +345,37 @@ class DenseLayer:
         return (g @ self.weight if input_grad else None), grads
 
 
+def _param_shapes(kind: str, d_in: int, d_out: int, basis_count: int) -> tuple:
+    """Shapes of the ``params()`` of a ``kind`` layer, in order."""
+    if kind == "dense":
+        return (d_out, d_in), (d_out,)
+    if kind not in ("full", "shared"):
+        raise ContractError(f"unknown layer kind {kind!r}")
+    coeff = (d_out, d_in, basis_count) if kind == "full" else (d_in, basis_count)
+    return (d_out, d_in), (d_out, d_in), coeff
+
+
+def _set_params(layer, params: list, basis_count: int = 0) -> None:
+    """Store ``params`` as float64 under ``layer.param_names``; each must
+    have its ``_param_shapes`` shape for the first one's ``(d_out, d_in)``."""
+    params = [np.asarray(arr, dtype=np.float64) for arr in params]
+    layer.d_out, layer.d_in = params[0].shape
+    shapes = _param_shapes(layer.kind, layer.d_in, layer.d_out, basis_count)
+    for name, arr, shape in zip(layer.param_names, params, shapes):
+        if arr.shape != shape:
+            raise ContractError(f"{name} shape mismatch")
+        setattr(layer, name, arr)
+
+
+def _layer(kind: str, d_in: int, d_out: int, activate: bool, grid: SplineGrid, fill):
+    """The ``kind`` layer holding ``fill(shape)`` for each shape of
+    ``_param_shapes``, called in ``params()`` order."""
+    params = [fill(s) for s in _param_shapes(kind, d_in, d_out, grid.basis_count)]
+    if kind == "dense":
+        return DenseLayer(*params, activate=activate)
+    return (FullKanLayer if kind == "full" else SharedKanLayer)(*params, grid)
+
+
 def init_params(kind: str, d_in: int, d_out: int,
                 grid: SplineGrid = SplineGrid(), seed=0, activate: bool = True):
     """Create a layer of the given kind with Kaiming-uniform parameters.
@@ -376,18 +385,9 @@ def init_params(kind: str, d_in: int, d_out: int,
     integer or a ``numpy.random.Generator``, and identical seeds give
     bit-identical layers.
     """
-    if kind not in KINDS:
-        raise ContractError(f"unknown layer kind {kind!r}")
     if d_in < 1 or d_out < 1:
         raise ContractError(f"layer dimensions must be positive, got {d_in}x{d_out}")
-    rng = np.random.default_rng(seed)
-    bound = np.sqrt(6.0 / d_in)
-
-    def draw(*shape):
-        return rng.uniform(-bound, bound, size=shape)
-
-    if kind == "dense":
-        return DenseLayer(draw(d_out, d_in), np.zeros(d_out), activate=activate)
-    cls = FullKanLayer if kind == "full" else SharedKanLayer
-    return cls(draw(d_out, d_in), draw(d_out, d_in),
-               draw(*cls._coeff_shape(d_out, d_in, grid.basis_count)), grid)
+    rng, bound = np.random.default_rng(seed), np.sqrt(6.0 / d_in)
+    # A dense bias, the one 1-D parameter, starts at zero and takes no draw.
+    return _layer(kind, d_in, d_out, activate, grid, lambda shape: (
+        np.zeros(shape) if len(shape) == 1 else rng.uniform(-bound, bound, size=shape)))

@@ -9,15 +9,17 @@ variant is one with an empty spatial stack, so its spectral stack sees
 the band-major flattened ``p*p*b`` patch. ``Model.stacks()`` is the one
 table of each stack's name, layers and rows per patch; FLOP totals,
 checkpoint headers and the CLI read it. A parameter count is the total
-size of the parameter tensors.
+size of the parameter tensors. Every model is built by one walk over the
+config's stacks (``_assemble``); an outline (``_outline``) holds
+zero-stride tensors, so it gives any model's counts and header in no memory.
 
 Checkpoints are single files: the magic ``SKAN0001``, an 8-byte
 little-endian header length, a JSON header (config plus tensor
 names/shapes/offsets), then all parameter tensors as little-endian float64,
-back to back in layer order. The config alone determines the rest of the
-header, so a checkpoint loads only if its header equals the one its config
-gives and its payload holds exactly the bytes that header declares.
-Round-trips are bit-exact.
+back to back in layer order. A checkpoint loads only if its header equals
+its config's outline's and its payload holds exactly the bytes that header
+declares; its tensors are then views of one copy of the payload, and no
+random model is drawn. Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ContractError, DataError, MalformedHeaderError,
-                     TruncatedPayloadError)
-from .layers import init_params
+                     TruncatedPayloadError, _integer)
+from .layers import _layer, init_params
 from .spline import SplineGrid
 
 _MAGIC = b"SKAN0001"
@@ -81,13 +83,16 @@ class ModelConfig:
 
     def __post_init__(self):
         self.variant = Variant(self.variant)
-        p, b = self.patch_size, self.bands
+        p = self.patch_size = _integer("patch_size", self.patch_size)
+        b = self.bands = _integer("bands", self.bands)
         if p < 1 or p % 2 == 0:
             raise ContractError(f"patch_size must be odd and positive, got {p}")
         if b < 1:
             raise ContractError(f"bands must be positive, got {b}")
-        sp = [p * p, 16, 1] if self.spatial_nodes is None else list(self.spatial_nodes)
-        sc = [b, 16, 2] if self.spectral_nodes is None else list(self.spectral_nodes)
+        sp = [p * p, 16, 1] if self.spatial_nodes is None else [
+            _integer("a spatial node", v) for v in self.spatial_nodes]
+        sc = [b, 16, 2] if self.spectral_nodes is None else [
+            _integer("a spectral node", v) for v in self.spectral_nodes]
         if len(sp) < 2 or sp[0] != p * p or sp[-1] != 1 or min(sp) < 1:
             raise ContractError(
                 f"spatial nodes must run {p * p} -> ... -> 1, got {sp}")
@@ -104,28 +109,30 @@ class ModelConfig:
         return [], [self.patch_size ** 2 * self.bands] + self.spectral_nodes[1:]
 
 
-def _build_stack(kind: str, nodes: list[int], grid: SplineGrid, rng,
-                 final_linear: bool):
-    layers = []
-    last = len(nodes) - 2
-    for i, (d_in, d_out) in enumerate(zip(nodes, nodes[1:])):
-        activate = not (final_linear and i == last)
-        layers.append(init_params(kind, d_in, d_out, grid=grid, seed=rng,
-                                  activate=activate))
-    return layers
+def _assemble(config: ModelConfig, make) -> "Model":
+    """The model of ``config``, each layer ``make(kind, d_in, d_out,
+    activate)``, called in layer order. Dense stacks keep SiLU everywhere
+    except the final logits layer."""
+    kind, stacks = config.variant.layer_kind, []
+    for nodes, final_linear in zip(config.stack_nodes, (False, True)):
+        last = len(nodes) - 2
+        stacks.append([make(kind, d_in, d_out, not (final_linear and i == last))
+                       for i, (d_in, d_out) in enumerate(zip(nodes, nodes[1:]))])
+    return Model(config, *stacks)
+
+
+def _outline(config: ModelConfig) -> "Model":
+    """The model of ``config`` with zero-stride zero tensors: its shapes,
+    counts and header, in no memory beyond the layer objects."""
+    zeros = lambda shape: np.broadcast_to(0.0, shape)
+    return _assemble(config, lambda *layer: _layer(*layer, config.grid, zeros))
 
 
 def build_model(config: ModelConfig, seed=0) -> "Model":
     """Deterministically initialize a model for the given config and seed."""
     rng = np.random.default_rng(seed)
-    kind = config.variant.layer_kind
-    spatial_nodes, spectral_nodes = config.stack_nodes
-    # Dense stacks keep SiLU everywhere except the final logits layer.
-    spatial = _build_stack(kind, spatial_nodes, config.grid, rng,
-                           final_linear=False)
-    spectral = _build_stack(kind, spectral_nodes, config.grid, rng,
-                            final_linear=True)
-    return Model(config, spatial, spectral)
+    return _assemble(config, lambda kind, d_in, d_out, activate: init_params(
+        kind, d_in, d_out, grid=config.grid, seed=rng, activate=activate))
 
 
 @dataclass
@@ -245,30 +252,27 @@ def _config_dict(config: ModelConfig) -> dict:
     }
 
 
-def _header(model: Model) -> tuple[dict, list[np.ndarray]]:
-    """The header :func:`save_checkpoint` writes, and the tensors in payload order."""
-    table, tensors, offset = {}, [], 0
+def _header(model: Model) -> dict:
+    """The header :func:`save_checkpoint` writes."""
+    table, offset = {}, 0
     for stack_name, stack, _ in model.stacks():
         for i, layer in enumerate(stack):
             for name, arr in zip(layer.param_names, layer.params()):
                 table[f"{stack_name}.{i}.{name}"] = {
                     "shape": list(arr.shape), "offset": offset,
                     "nbytes": arr.nbytes}
-                tensors.append(arr)
                 offset += arr.nbytes
-    return {"config": _config_dict(model.config), "dtype": "f8le",
-            "tensors": table}, tensors
+    return {"config": _config_dict(model.config), "dtype": "f8le", "tensors": table}
 
 
 def save_checkpoint(model: Model, path) -> None:
     """Write the model to a single self-describing file."""
-    header, tensors = _header(model)
-    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    text = json.dumps(_header(model), sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(text)))
         fh.write(text)
-        for arr in tensors:
+        for arr in model.parameters():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -287,38 +291,30 @@ def load_checkpoint(path) -> Model:
         spline = d["spline"]
         grid = SplineGrid(int(spline["degree"]), int(spline["grid_size"]),
                           float(spline["domain"][0]), float(spline["domain"][1]))
-        config = ModelConfig(
-            variant=Variant(d["variant"]),
-            patch_size=int(d["patch_size"]),
-            bands=int(d["bands"]),
-            spatial_nodes=[int(v) for v in d["spatial_nodes"]],
-            spectral_nodes=[int(v) for v in d["spectral_nodes"]],
-            grid=grid,
-        )
-        # Every layer kind stores at least one float64 per edge, so this
-        # bounds the model by the file's size before any of it is allocated.
-        edges = sum(a * b for nodes in config.stack_nodes
-                    for a, b in zip(nodes, nodes[1:]))
-        if edges > len(blob) // 8:
-            raise ContractError(
-                f"{edges} edges do not fit in a file of {len(blob)} bytes")
-        model = build_model(config, seed=0)
+        config = ModelConfig(Variant(d["variant"]), int(d["patch_size"]),
+                             int(d["bands"]), [int(v) for v in d["spatial_nodes"]],
+                             [int(v) for v in d["spectral_nodes"]], grid)
+        outline = _outline(config)
+        expected = _header(outline)
     except (ArithmeticError, LookupError, RecursionError, TypeError,
             ValueError) as exc:
         raise MalformedHeaderError(f"{path}: invalid checkpoint header: {exc}") from exc
-    expected, tensors = _header(model)
     if header != expected:
         keys = sorted(k for k in set(header) | set(expected)
                       if header.get(k) != expected.get(k))
         raise MalformedHeaderError(
             f"{path}: header differs from the one its config gives at {keys}")
-    body, nbytes = blob[start + hlen:], sum(arr.nbytes for arr in tensors)
+    body, nbytes = memoryview(blob)[start + hlen:], outline.total_params() * 8
     if len(body) != nbytes:
         raise TruncatedPayloadError(
             f"{path}: payload holds {len(body)} bytes, expected {nbytes}")
-    for (name, entry), arr in zip(expected["tensors"].items(), tensors):
-        arr[...] = np.frombuffer(body, "<f8", arr.size,
-                                 entry["offset"]).reshape(arr.shape)
+    # One native copy of the payload; each tensor is a view of its part.
+    values = np.frombuffer(body, "<f8").astype(np.float64)
+    sizes = [arr.size for arr in outline.parameters()]
+    parts = iter(np.split(values, np.cumsum(sizes)[:-1]))
+    view = lambda shape: next(parts).reshape(shape)
+    model = _assemble(config, lambda *layer: _layer(*layer, config.grid, view))
+    for name, arr in zip(expected["tensors"], model.parameters()):
         if not np.all(np.isfinite(arr)):
             raise DataError(f"{path}: tensor {name!r} holds non-finite values")
     return model

@@ -77,7 +77,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, _integer
 
 
 _MAX_KNOTS = 4096  # far above any grid in use; bounds what a header can ask for
@@ -104,11 +104,8 @@ class SplineGrid:
     knots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("degree", "grid_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ContractError(f"{name} must be an integer, got {value!r}")
-        degree, grid_size = int(self.degree), int(self.grid_size)
+        degree = _integer("degree", self.degree)
+        grid_size = _integer("grid_size", self.grid_size)
         lo, hi = self.lo, self.hi
         if degree < 0:
             raise ContractError(f"degree must be non-negative, got {degree}")

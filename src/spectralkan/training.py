@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, _integer
 from .model import Model
 
 __all__ = [
@@ -44,10 +44,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "decay_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ContractError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
+            setattr(self, name, _integer(name, getattr(self, name)))
         if self.epochs < 0:
             raise ContractError("epochs must be non-negative")
         if self.batch_size < 1:

@@ -656,6 +656,24 @@ class TestCount:
         assert payload["total_params"] == 620_320
         assert payload["spectral_nodes"] == [3875, 16, 2]
 
+    def test_counts_a_model_too_large_for_memory(self, capsys, monkeypatch):
+        # 24.8e9 parameters, 185 GiB as float64. No random draw may run:
+        # one would ask for the 18.5 GiB first-layer coefficients.
+        def no_rng(*args, **kwargs):
+            raise AssertionError("count drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        tracemalloc.start()
+        try:
+            payload = self.run_count(capsys, ["--variant", "kan", "--patch-size",
+                                              "1001", "--bands", "155"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert payload["total_params"] == 24_849_625_120
+        assert payload["spectral_nodes"] == [1001 * 1001 * 155, 16, 2]
+        assert peak < 4 << 20
+
     def test_dense_accounting_follows_layer_formula(self, capsys):
         payload = self.run_count(capsys, ["--variant", "mlp", "--bands", "155"])
         assert payload["total_params"] == 62_050
@@ -718,16 +736,14 @@ def test_python_dash_m_runs_the_cli_from_the_source_tree():
 
 
 class TestOutOfMemory:
-    @pytest.mark.parametrize("command", ["count", "train"])
+    @pytest.mark.parametrize("command", ["train"])
     def test_exits_2_with_one_error_line(self, dataset, tmp_path, monkeypatch,
                                          capsys, command):
         def build_model(config, seed):
             raise MemoryError("Unable to allocate 18.5 GiB for an array")
 
         monkeypatch.setattr(cli, "build_model", build_model)
-        argv = (["count", "--bands", "8"] if command == "count"
-                else train_args(dataset, tmp_path / "run", FAST_TRAIN))
-        assert main(argv) == 2
+        assert main(train_args(dataset, tmp_path / "run", FAST_TRAIN)) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == [
             "error: out of memory: Unable to allocate 18.5 GiB for an array"]

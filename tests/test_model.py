@@ -76,6 +76,35 @@ class TestBuild:
         with pytest.raises(ContractError):
             ModelConfig(**base)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"patch_size": 5.0},
+        {"bands": 155.0},
+        {"patch_size": True, "bands": 4, "spatial_nodes": None,
+         "spectral_nodes": None},
+        {"bands": np.float64(155)},
+        {"spatial_nodes": [25, 16.0, 1]},
+        {"spectral_nodes": [155, 2.5, 2]},
+        {"spectral_nodes": [155, True, 2]},
+        {"spectral_nodes": [155, "16", 2]},
+    ])
+    def test_rejects_non_integer_sizes(self, kwargs):
+        base = dict(variant=Variant.SPECTRAL_KAN, patch_size=5, bands=155,
+                    spatial_nodes=[25, 16, 1], spectral_nodes=[155, 16, 2])
+        base.update(kwargs)
+        with pytest.raises(ContractError, match="must be an integer"):
+            ModelConfig(**base)
+
+    def test_numpy_integer_sizes_become_ints(self, tmp_path):
+        config = ModelConfig(patch_size=np.int64(3), bands=np.int32(4),
+                             spectral_nodes=[np.int16(4), np.uint8(8), 2])
+        assert (config.patch_size, config.bands) == (3, 4)
+        assert config.spectral_nodes == [4, 8, 2]
+        assert all(type(v) is int for v in [config.patch_size, config.bands,
+                                             *config.spectral_nodes])
+        # The header is JSON, which a numpy integer would not serialize to.
+        save_checkpoint(build_model(config, seed=0), tmp_path / "model.ckpt")
+        assert load_checkpoint(tmp_path / "model.ckpt").config == config
+
     @pytest.mark.parametrize("kwargs,spatial,spectral", [
         ({}, [25, 16, 1], [155, 16, 2]),
         ({"patch_size": 3, "bands": 30}, [9, 16, 1], [30, 16, 2]),
@@ -521,6 +550,35 @@ class TestCheckpoint:
         save_checkpoint(model, p1)
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch, variant):
+        model = build_model(tiny_config(variant), seed=13)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        loaded = load_checkpoint(path)
+        for a, b in zip(model.parameters(), loaded.parameters()):
+            assert a.tobytes() == b.tobytes()
+
+    def test_load_peak_memory_follows_the_parameters(self, tmp_path):
+        model = build_model(config_d(variant=Variant.KAN), seed=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        param_bytes = sum(p.nbytes for p in model.parameters())
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.total_params() == 620_320
+        # The file's bytes and one float64 copy of its payload.
+        assert peak < 2.5 * param_bytes
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
