@@ -213,11 +213,13 @@ def extract_patches(cube: HsiCube, coords: np.ndarray, p: int) -> np.ndarray:
 
 def patch_set(cube: HsiCube, label_map: LabelMap, coords: np.ndarray,
               p: int) -> PatchSet:
-    """Bundle float64 patches with the labels found at ``coords``."""
+    """Bundle the patches at ``coords``, as ``extract_patches`` gives them
+    (the cube's float32), with the labels found there. Only the model
+    widens them to float64, as it forms each batch's band rows."""
     if (label_map.height, label_map.width) != (cube.height, cube.width):
         raise ContractError("label map does not match the cube dimensions")
     coords = _pixel_coords(coords)
-    patches = extract_patches(cube, coords, p).astype(np.float64)
+    patches = extract_patches(cube, coords, p)
     labels = label_map.labels[coords[:, 0], coords[:, 1]]
     if np.any(labels == UNKNOWN):
         raise ContractError("patch set coordinates include unknown pixels")

@@ -24,10 +24,11 @@ so, since nothing reads the gradient of the input data.
 ``forward(x, keep=False)`` returns ``(outputs, None)`` and keeps nothing
 for a backward pass, so prediction frees each layer's intermediates as
 soon as the layer is done. ``_param_shapes`` states each kind's parameter
-shapes, which every constructor checks; a layer's parameter count is the
-total size of its ``params()``. FLOP counts follow a fixed cost
-convention: SiLU costs 4, a spline evaluation 96, and each weight
-multiplication 1, per scalar input element.
+shapes, which every constructor checks, and rejects a shape that no numpy
+array can hold; a layer's parameter count is the total size of its
+``params()``. FLOP counts follow a fixed cost convention: SiLU costs 4, a
+spline evaluation 96, and each weight multiplication 1, per scalar input
+element.
 
 ``FullKanLayer.forward`` forms both of its products, the SiLU path and
 the spline contraction over the flattened ``(d_in, basis)`` axis, as one
@@ -64,6 +65,7 @@ of the full layer's ``g @ weighted`` by the height of its block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,6 +82,9 @@ _BATCH_VALUES = 2 ** 18
 # Contraction columns per chunk of ``_row_invariant_matmul``. A constant, so
 # that a row's sum does not depend on its batch.
 _CHUNK_COLUMNS = 4096
+
+# The most bytes numpy lets one array hold.
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
 
 def _row_blocks(n: int, width: int) -> list[slice]:
@@ -346,13 +351,20 @@ class DenseLayer:
 
 
 def _param_shapes(kind: str, d_in: int, d_out: int, basis_count: int) -> tuple:
-    """Shapes of the ``params()`` of a ``kind`` layer, in order."""
+    """Shapes of the ``params()`` of a ``kind`` layer, in order. A shape
+    whose float64 bytes exceed ``_MAX_ARRAY_BYTES`` is a ``ContractError``."""
     if kind == "dense":
-        return (d_out, d_in), (d_out,)
-    if kind not in ("full", "shared"):
+        shapes = (d_out, d_in), (d_out,)
+    elif kind in ("full", "shared"):
+        coeff = (d_out, d_in, basis_count) if kind == "full" else (d_in, basis_count)
+        shapes = (d_out, d_in), (d_out, d_in), coeff
+    else:
         raise ContractError(f"unknown layer kind {kind!r}")
-    coeff = (d_out, d_in, basis_count) if kind == "full" else (d_in, basis_count)
-    return (d_out, d_in), (d_out, d_in), coeff
+    for shape in shapes:
+        if math.prod(shape) * 8 > _MAX_ARRAY_BYTES:
+            raise ContractError(f"a {d_in} -> {d_out} {kind} layer needs a "
+                                f"{shape} tensor, larger than any array holds")
+    return shapes
 
 
 def _set_params(layer, params: list, basis_count: int = 0) -> None:

@@ -19,7 +19,9 @@ names/shapes/offsets), then all parameter tensors as little-endian float64,
 back to back in layer order. A checkpoint loads only if its header equals
 its config's outline's and its payload holds exactly the bytes that header
 declares; its tensors are then views of one copy of the payload, and no
-random model is drawn. Round-trips are bit-exact.
+random model is drawn. The header's config fields reach ``ModelConfig``
+and ``SplineGrid`` as read, so a ``3.0`` or ``true`` where an integer
+belongs fails their checks. Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -157,7 +159,10 @@ class Model:
 
     def _band_rows(self, patches: np.ndarray) -> np.ndarray:
         # (n, p, p, b) -> (n*b, p*p): band-major rows of flattened windows,
-        # cast to float64 in the same pass as the transpose copy.
+        # cast to float64 in the same pass as the transpose copy. This is
+        # the one place a patch becomes float64: training and prediction
+        # both hand over the cube's float32 patches, and float32 widens
+        # exactly, so the rows are the same bits as from a float64 copy.
         n = patches.shape[0]
         p, b = self.config.patch_size, self.config.bands
         rows = np.ascontiguousarray(patches.transpose(0, 3, 1, 2), dtype=np.float64)
@@ -289,11 +294,12 @@ def load_checkpoint(path) -> Model:
         header = json.loads(blob[start:start + hlen].decode())
         d = header["config"]
         spline = d["spline"]
-        grid = SplineGrid(int(spline["degree"]), int(spline["grid_size"]),
-                          float(spline["domain"][0]), float(spline["domain"][1]))
-        config = ModelConfig(Variant(d["variant"]), int(d["patch_size"]),
-                             int(d["bands"]), [int(v) for v in d["spatial_nodes"]],
-                             [int(v) for v in d["spectral_nodes"]], grid)
+        # The fields go to the constructors as read, so their checks judge
+        # them: a 3.0 or a true where an integer belongs is rejected.
+        grid = SplineGrid(spline["degree"], spline["grid_size"],
+                          spline["domain"][0], spline["domain"][1])
+        config = ModelConfig(d["variant"], d["patch_size"], d["bands"],
+                             d["spatial_nodes"], d["spectral_nodes"], grid)
         outline = _outline(config)
         expected = _header(outline)
     except (ArithmeticError, LookupError, RecursionError, TypeError,

@@ -152,9 +152,12 @@ def train(model: Model, dataset, config: TrainConfig) -> tuple[Model, TrainHisto
     """Fit ``model`` on a patch set; returns the model and its history.
 
     ``dataset`` needs ``patches`` of shape ``(n, p, p, b)`` and integer
-    ``labels``. The model is updated in place.
+    ``labels``. The patches are read in their own dtype, with no copy of
+    the set: ``Model.forward`` casts each batch to float64 as it forms its
+    band rows, and float32 widens exactly, so a float32 set trains to the
+    same bits as its float64 copy. The model is updated in place.
     """
-    patches = np.asarray(dataset.patches, dtype=np.float64)
+    patches = np.asarray(dataset.patches)
     labels = np.asarray(dataset.labels)
     n = patches.shape[0]
     if n == 0:
@@ -189,11 +192,12 @@ def gradient_check(model: Model, patches, labels, step: float = 1e-6) -> float:
     centered difference of the loss with the analytic gradient. The
     denominator is floored at 1e-3 so finite-difference noise on
     near-zero gradients reads as a tiny error instead of blowing up.
+    ``patches`` keep their dtype; ``Model.forward`` casts them to float64.
     """
     params = model.parameters()
     if not params:
         return 0.0
-    patches = np.asarray(patches, dtype=np.float64)
+    patches = np.asarray(patches)
     labels = np.asarray(labels)
     logits, caches = model.forward(patches)
     _, grad_logits = softmax_cross_entropy(logits, labels)

@@ -20,7 +20,8 @@ from spectralkan import data as data_mod
 from spectralkan import layers
 from spectralkan.cli import _batch_size, build_parser, main, predict_at
 from spectralkan.data import save_cube, save_labels
-from spectralkan.errors import ContractError, DataError, MalformedHeaderError
+from spectralkan.errors import (ContractError, DataError, MalformedHeaderError,
+                               TruncatedPayloadError)
 from spectralkan.training import TrainConfig
 
 
@@ -334,6 +335,42 @@ class TestErrorPaths:
         ckpt.write_bytes(b"SKAN0001" + struct.pack("<Q", len(text)) + text)
         assert main(eval_args(dataset, ckpt, tmp_path / "ev")) == 3
 
+    def test_label_map_of_another_size_is_config_error(self, dataset, tmp_path,
+                                                       capsys):
+        save_labels(LabelMap(np.zeros((20, 24), dtype=np.uint8)),
+                    tmp_path / "small.pgm")
+        args = ["train", str(dataset / "t1.json"), str(dataset / "t2.json"),
+                str(tmp_path / "small.pgm"), "--out-dir", str(tmp_path / "run")]
+        capsys.readouterr()
+        assert main(args) == 2
+        assert "label map 20x24 does not match cube 24x24" in capsys.readouterr().err
+
+    def test_config_array_is_config_error(self, dataset, tmp_path, capsys):
+        config = tmp_path / "list.json"
+        config.write_text('[{"epochs": 1}]')
+        capsys.readouterr()
+        assert main(train_args(dataset, tmp_path / "run", ["--config", str(config)])) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
+    def test_cube_header_not_an_object_is_data_error(self, dataset, tmp_path, capsys):
+        bad = tmp_path / "array.json"
+        bad.write_text(json.dumps([json.loads((dataset / "t1.json").read_text())]))
+        args = ["train", str(bad), str(dataset / "t2.json"),
+                str(dataset / "labels.pgm"), "--out-dir", str(tmp_path)]
+        capsys.readouterr()
+        assert main(args) == 3
+        assert "header is not an object" in capsys.readouterr().err
+
+    def test_checkpoint_header_past_end_of_file_is_data_error(self, dataset, tmp_path,
+                                                              capsys):
+        ckpt = tmp_path / "short.ckpt"
+        ckpt.write_bytes(b"SKAN0001" + struct.pack("<Q", 1000) + b"{}")
+        with pytest.raises(TruncatedPayloadError, match="past end of file"):
+            load_checkpoint(ckpt)
+        capsys.readouterr()
+        assert main(eval_args(dataset, ckpt, tmp_path / "ev")) == 3
+        assert "header extends past end of file" in capsys.readouterr().err
+
     def test_nested_json_config_is_config_error(self, dataset, tmp_path):
         config = tmp_path / "nested.json"
         config.write_text("[" * 100_000 + "]" * 100_000)
@@ -439,6 +476,14 @@ def corrupt_checkpoint(path, how, value=None):
         header["config"]["spline"]["degree"] = value
     elif how == "wide-spectral":
         header["config"]["spectral_nodes"][1] = value
+    elif how == "float-patch-size":
+        header["config"]["patch_size"] = float(header["config"]["patch_size"])
+    elif how == "float-degree":
+        header["config"]["spline"]["degree"] = 3.0
+    elif how == "float-spatial-node":
+        header["config"]["spatial_nodes"][1] = 16.0
+    elif how == "bool-spatial-node":
+        header["config"]["spatial_nodes"][2] = True
     text = json.dumps(header).encode()
     path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + body)
 
@@ -466,11 +511,27 @@ class TestCorruptCheckpoint:
             load_checkpoint(ckpt)
         assert main(eval_args(dataset, ckpt, tmp_path / "ev")) == 3
 
+    @pytest.mark.parametrize("variant", [Variant.MLP_SS, Variant.SPECTRAL_KAN])
+    @pytest.mark.parametrize("how", ["float-patch-size", "float-degree",
+                                     "float-spatial-node", "bool-spatial-node"])
+    def test_non_integer_field_rejected(self, dataset, tmp_path, capsys, variant, how):
+        # Each edit equals the saved value, so only the constructors' integer
+        # checks tell it from the saved model.
+        ckpt = self.saved(tmp_path, variant)
+        corrupt_checkpoint(ckpt, how)
+        with pytest.raises(MalformedHeaderError, match="must be an integer"):
+            load_checkpoint(ckpt)
+        capsys.readouterr()
+        assert main(eval_args(dataset, ckpt, tmp_path / "ev")) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     @pytest.mark.parametrize("variant,how,value", [
         (Variant.MLP_SS, "huge-degree", 10 ** 5),
         (Variant.MLP_SS, "huge-degree", 10 ** 6),
         (Variant.MLP_SS, "huge-degree", 10 ** 7),
         (Variant.SPECTRAL_KAN, "wide-spectral", 200_000),
+        (Variant.SPECTRAL_KAN, "wide-spectral", 10 ** 20),
     ])
     def test_oversized_config_rejected_before_allocating(
             self, dataset, tmp_path, variant, how, value):
@@ -673,6 +734,17 @@ class TestCount:
         assert payload["total_params"] == 24_849_625_120
         assert payload["spectral_nodes"] == [1001 * 1001 * 155, 16, 2]
         assert peak < 4 << 20
+
+    @pytest.mark.parametrize("variant", ["kan", "spectral-kan", "mlp"])
+    def test_model_no_array_can_hold_is_config_error(self, capsys, variant):
+        # A 10**20-node layer needs a tensor past np.intp's byte limit.
+        capsys.readouterr()
+        assert main(["count", "--variant", variant, "--bands", "155",
+                     "--spectral-nodes", "155,100000000000000000000,2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "larger than any array holds" in err
 
     def test_dense_accounting_follows_layer_formula(self, capsys):
         payload = self.run_count(capsys, ["--variant", "mlp", "--bands", "155"])

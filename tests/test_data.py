@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectralkan import (HsiCube, LabelMap, difference, extract_patches,
-                         load_cube, load_labels, normalize, patch_set,
-                         save_cube, save_labels, stratified_split,
+from spectralkan import (HsiCube, LabelMap, PatchSet, difference,
+                         extract_patches, load_cube, load_labels, normalize,
+                         patch_set, save_cube, save_labels, stratified_split,
                          synth_dataset)
 from spectralkan import data
 from spectralkan.cli import main
@@ -204,9 +204,22 @@ class TestPatches:
         labels = LabelMap((np.arange(36).reshape(6, 6) % 2).astype(np.uint8))
         coords = np.array([[0, 0], [2, 3], [5, 5]])
         ps = patch_set(cube, labels, coords, 3)
-        assert ps.patches.dtype == np.float64
+        # The cube's float32, as extract_patches gives it: only the model
+        # widens patches to float64.
+        assert ps.patches.dtype == np.float32
+        assert ps.patches.tobytes() == extract_patches(cube, coords, 3).tobytes()
         assert list(ps.labels) == [0, 1, 1]
         assert len(ps) == 3
+
+    def test_patch_set_rejects_label_map_of_another_size(self):
+        cube = random_cube(6, 6, 2, seed=11)
+        labels = LabelMap(np.zeros((6, 5), dtype=np.uint8))
+        with pytest.raises(ContractError, match="label map does not match"):
+            patch_set(cube, labels, [[0, 0]], 3)
+
+    def test_patch_set_of_misaligned_lengths(self):
+        with pytest.raises(ContractError, match="align 1:1"):
+            PatchSet(np.zeros((3, 1, 1, 1), dtype=np.float32), np.zeros(2))
 
     def test_patch_set_rejects_unknown_pixels(self):
         cube = random_cube(4, 4, 2, seed=12)
@@ -289,6 +302,16 @@ class TestSynth:
     def test_change_fraction_is_respected(self):
         _, _, labels = synth_dataset(20, 20, 3, change_fraction=0.25, seed=3)
         assert labels.labels.sum() == round(0.25 * 400)
+
+    @pytest.mark.parametrize("h,w,b", [(0, 4, 3), (4, -1, 3), (4, 4, 0)])
+    def test_rejects_non_positive_size(self, h, w, b):
+        with pytest.raises(ContractError, match="must be positive"):
+            synth_dataset(h, w, b)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
+    def test_rejects_change_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(ContractError, match="change_fraction"):
+            synth_dataset(4, 4, 3, change_fraction=fraction)
 
     def test_determinism(self):
         a1, a2, al = synth_dataset(12, 10, 5, seed=4)
@@ -501,6 +524,11 @@ class TestPgm:
         blob = (tmp_path / "g.pgm").read_bytes()
         assert blob.startswith(b"P5\n3 2\n255\n")
         assert len(blob) == len(b"P5\n3 2\n255\n") + 6
+
+    def test_rejects_a_3d_grid(self, tmp_path):
+        with pytest.raises(ContractError, match="2-D"):
+            save_pgm(np.zeros((2, 3, 1), dtype=np.uint8), tmp_path / "g.pgm")
+        assert not (tmp_path / "g.pgm").exists()
 
     def test_comments_are_skipped(self, tmp_path):
         payload = b"P5\n# a comment\n2 2\n255\n\x00\x01\xff\x00"

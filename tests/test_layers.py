@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from spectralkan import (FullKanLayer, SharedKanLayer, SplineGrid,
+from spectralkan import (DenseLayer, FullKanLayer, SharedKanLayer, SplineGrid,
                          init_params)
 from spectralkan.errors import ContractError, DomainError
-from spectralkan.layers import _row_invariant_matmul, sigmoid
+from spectralkan.layers import _param_shapes, _row_invariant_matmul, sigmoid
 
 from oracles import fd_loss_grads, max_rel_err
 
@@ -349,6 +349,31 @@ class TestInit:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ContractError):
             init_params("conv", 3, 3, seed=0)
+
+    @pytest.mark.parametrize("build,name", [
+        (lambda z: FullKanLayer(z(2, 3), z(2, 4), z(2, 3, 8), GRID), "spline_scale"),
+        (lambda z: FullKanLayer(z(2, 3), z(2, 3), z(2, 3, 7), GRID), "spline_coeff"),
+        (lambda z: SharedKanLayer(z(2, 3), z(3, 2), z(3, 8), GRID), "spline_scale"),
+        (lambda z: SharedKanLayer(z(2, 3), z(2, 3), z(2, 8), GRID), "spline_coeff"),
+        (lambda z: DenseLayer(z(2, 3), z(3)), "bias"),
+    ], ids=["full-scale", "full-coeff", "shared-scale", "shared-coeff", "dense-bias"])
+    def test_rejects_mis_shaped_tensor(self, build, name):
+        with pytest.raises(ContractError, match=f"^{name} shape mismatch$"):
+            build(lambda *shape: np.zeros(shape))
+
+    @pytest.mark.parametrize("kind,d_in,d_out", [
+        ("dense", 2, 2 ** 60), ("full", 2 ** 30, 2 ** 30), ("shared", 2 ** 60, 1),
+        ("shared", 10 ** 20, 2)])
+    def test_rejects_shapes_no_array_can_hold(self, kind, d_in, d_out):
+        # A float64 tensor of more than np.intp's maximum in bytes.
+        with pytest.raises(ContractError, match="larger than any array holds"):
+            _param_shapes(kind, d_in, d_out, GRID.basis_count)
+
+    def test_largest_tensor_numpy_can_hold_is_accepted(self):
+        limit = np.iinfo(np.intp).max // 8
+        shapes = _param_shapes("dense", limit, 1, 0)
+        assert shapes == ((1, limit), (1,))
+        assert np.broadcast_to(0.0, shapes[0]).nbytes == limit * 8
 
 
 def param_count(layer) -> int:

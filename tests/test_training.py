@@ -54,6 +54,10 @@ class TestCrossEntropy:
         with pytest.raises(ContractError):
             softmax_cross_entropy(np.zeros((2, 2)), np.array([0, 2]))
 
+    def test_rejects_labels_of_another_length(self):
+        with pytest.raises(ContractError, match="do not match 2 labels"):
+            softmax_cross_entropy(np.zeros((3, 2)), np.array([0, 1]))
+
 
 class TestSchedule:
     def test_default_schedule_values(self):
@@ -71,6 +75,10 @@ class TestSchedule:
         config = TrainConfig()
         for e in range(40):
             assert lr_at(config, e) == lr_at(config, (e // 10) * 10)
+
+    def test_negative_epoch_rejected(self):
+        with pytest.raises(ContractError, match="epoch must be non-negative"):
+            lr_at(TrainConfig(), -1)
 
 
 class TestTrainConfig:
@@ -93,6 +101,14 @@ class TestTrainConfig:
     def test_rate_must_be_finite_and_positive(self, field, value):
         with pytest.raises(ContractError, match=field):
             TrainConfig(**{field: value})
+
+    def test_negative_epochs_rejected(self):
+        with pytest.raises(ContractError, match="epochs must be non-negative"):
+            TrainConfig(epochs=-1)
+
+    def test_zero_batch_size_rejected(self):
+        with pytest.raises(ContractError, match="batch_size must be at least 1"):
+            TrainConfig(batch_size=0)
 
 
 class TestAdam:
@@ -127,6 +143,15 @@ class TestAdam:
         state = AdamState(params)
         with pytest.raises(ContractError):
             adam_step(state, params, [np.zeros((3, 2))], lr=0.1)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_rejects_gradient_list_of_another_length(self, count):
+        params = [np.zeros((2, 2)), np.zeros(3)]
+        state = AdamState(params)
+        grads = [np.ones((2, 2)), np.ones(3), np.ones(3)][:count]
+        with pytest.raises(ContractError, match="do not match the state"):
+            adam_step(state, params, grads, lr=0.1)
+        assert state.step == 0 and not np.any(params[0])
 
     def test_bits_equal_scalar_oracle_over_random_steps(self):
         rng = np.random.default_rng(11)
@@ -234,6 +259,35 @@ class TestTrain:
         trained = peak_of(lambda model: train(
             model, dataset, TrainConfig(epochs=2, batch_size=64)))
         assert trained <= 1.1 * step
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_float32_set_trains_like_its_float64_copy(self, variant):
+        # Model.forward widens each batch exactly, so the dtype of the set
+        # moves no bit of the parameters or the history.
+        single = separable_patchset(n=40, seed=4)
+        single.patches = single.patches.astype(np.float32)
+        wide = PatchSet(single.patches.astype(np.float64), single.labels)
+        config = TrainConfig(epochs=3, batch_size=16, seed=4)
+        runs = [train(tiny_model(variant, seed=4), ps, config) for ps in (single, wide)]
+        (m32, h32), (m64, h64) = runs
+        assert (h32.epochs, h32.lrs, h32.losses) == (h64.epochs, h64.lrs, h64.losses)
+        for a, b in zip(m32.parameters(), m64.parameters()):
+            assert a.tobytes() == b.tobytes()
+
+    def test_float32_set_is_not_copied(self):
+        # A float64 copy of the set would alone take twice its bytes.
+        config = ModelConfig(variant=Variant.MLP, patch_size=3, bands=4)
+        rng = np.random.default_rng(8)
+        dataset = PatchSet(rng.uniform(-1, 1, (20_000, 3, 3, 4)).astype(np.float32),
+                           rng.integers(0, 2, size=20_000))
+        model = build_model(config, seed=8)
+        tracemalloc.start()
+        try:
+            train(model, dataset, TrainConfig(epochs=1, batch_size=64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * dataset.patches.nbytes
 
     def test_rejects_empty_training_set(self):
         model = tiny_model()
