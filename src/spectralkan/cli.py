@@ -27,7 +27,6 @@ from .data import (HsiCube, LabelMap, difference, extract_patches,
                    save_labels, save_pgm, stratified_split, subtract_cube,
                    synth_dataset, UNKNOWN, _checked_payload, _pixel_coords)
 from .errors import ContractError, DataError, DomainError, UndefinedMetricError
-from .layers import _BATCH_VALUES
 from .metrics import report, tally
 from .model import (Model, ModelConfig, Variant, _outline, build_model,
                     load_checkpoint, save_checkpoint)
@@ -136,10 +135,13 @@ def _load_scene(args, bands: int | None = None) -> tuple[HsiCube, LabelMap]:
     return cube, labels
 
 
+_BATCH_VALUES = 2 ** 18  # float64 values (2 MiB) per layer and prediction batch
+
+
 def _batch_size(model: Model) -> int:
     """Patches per prediction batch, so that no layer builds more than
-    ``layers._BATCH_VALUES`` float64 values (2 MiB) for one batch, the
-    budget that also bounds each row block of a KAN layer's backward.
+    ``_BATCH_VALUES`` float64 values (2 MiB) for one batch, a budget of
+    prediction alone (a KAN backward walks ``spline._row_blocks``).
 
     A KAN layer counts as its basis tensor, ``d_in * basis_count`` values
     per row; a dense layer's widest array is its input or output. Only the

@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the one integer check.
+"""Exception types shared across the package, and the integer and real checks.
 
 The CLI maps these onto distinct exit codes: contract/config problems,
 data/file problems, and failed numerical checks are kept separate.
 """
+
+import numbers
 
 import numpy as np
 
@@ -40,3 +42,10 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ContractError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a ``float``: a bool or a non-real value is rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ContractError(f"{name} must be a real number, got {value!r}")
+    return float(value)

@@ -55,10 +55,10 @@ cache holds only per-batch arrays: the full layer's backward prepares
 
 No cache holds the SiLU output ``x * sig``, which backward forms again
 with the same bits, nor a basis tensor except the full layer's, which its
-forward output needs anyway. Backward builds each basis tensor it needs in
-consecutive row blocks of at most ``_BATCH_VALUES`` float64 values (2 MiB,
-the budget ``cli._batch_size`` sizes prediction batches by) and adds the
-blocks' coefficient gradients in row order. A shared layer's input
+forward output needs anyway. Backward builds each basis tensor it needs
+per block of ``spline._row_blocks``, the pp-form forward's blocks, so one
+basis call is one kernel block (512 KiB at the default grid), and adds
+the blocks' coefficient gradients in row order. A shared layer's input
 gradient has the same bits for any block plan; OpenBLAS may round a row
 of the full layer's ``g @ weighted`` by the height of its block.
 """
@@ -72,12 +72,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .spline import (SplineGrid, _pp_spline, _pp_table, basis_derivatives,
-                     basis_values)
-
-# Float64 values (2 MiB) that a basis tensor of one backward row block, or
-# of one prediction batch (``cli._batch_size``), may hold.
-_BATCH_VALUES = 2 ** 18
+from .spline import (SplineGrid, _pp_spline, _pp_table, _row_blocks,
+                     basis_derivatives, basis_values)
 
 # Contraction columns per chunk of ``_row_invariant_matmul``. A constant, so
 # that a row's sum does not depend on its batch.
@@ -85,14 +81,6 @@ _CHUNK_COLUMNS = 4096
 
 # The most bytes numpy lets one array hold.
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
-
-
-def _row_blocks(n: int, width: int) -> list[slice]:
-    """Consecutive row slices covering ``n`` rows, each few enough that a
-    ``(rows, width)`` float64 array holds at most ``_BATCH_VALUES`` values
-    (one row at least)."""
-    step = max(1, _BATCH_VALUES // width)
-    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -192,8 +180,8 @@ class FullKanLayer(_KanLayer):
 
     A training forward caches the dense basis its output contracts, and
     backward reuses it for the coefficient gradient; the basis derivatives
-    and the spline slopes ``g @ weighted`` are built one row block at a
-    time.
+    and the spline slopes ``g @ weighted`` are built one row block of
+    ``spline._row_blocks`` at a time.
     """
 
     kind = "full"
@@ -241,7 +229,7 @@ class FullKanLayer(_KanLayer):
         weighted = self.prepare()
         grad_in = (g @ self.base_weight) * _silu_grad(x, sig)
         # Each row's basis derivatives and spline slopes take one block.
-        for rows in _row_blocks(n, width):
+        for rows in _row_blocks(n, self.d_in):
             dbasis = basis_derivatives(self.grid, x[rows])
             spline_dx = (g[rows] @ weighted).reshape(dbasis.shape)
             grad_in[rows] += np.einsum("nit,nit->ni", spline_dx, dbasis)
@@ -254,9 +242,9 @@ class SharedKanLayer(_KanLayer):
     ``forward`` evaluates each input's spline once, by the pp-form, for
     either value of ``keep``, so prediction and training logits have the
     same bits, and builds no basis tensor. A training forward caches the
-    inputs, ``sig`` and the spline values; backward walks its row blocks
-    once, building each block's basis and, for the input gradient, its
-    derivatives.
+    inputs, ``sig`` and the spline values; backward walks the forward's
+    row blocks (``spline._row_blocks``) once, building each block's basis
+    and, for the input gradient, its derivatives.
     """
 
     kind = "shared"
@@ -297,7 +285,7 @@ class SharedKanLayer(_KanLayer):
         # blocks' coefficient gradients add up in row order. Derivatives go
         # first: the other order read 2 MB more peak RSS in ablation-b155,
         # whose jobs run under glibc's dynamic malloc thresholds.
-        for rows in _row_blocks(x.shape[0], self.d_in * self.grid.basis_count):
+        for rows in _row_blocks(x.shape[0], self.d_in):
             if input_grad:
                 grad_in[rows] += gs[rows] * np.einsum(
                     "nit,it->ni", basis_derivatives(self.grid, x[rows]),

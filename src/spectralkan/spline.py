@@ -43,8 +43,8 @@ The shared KAN layer needs only the spline ``coeff[i] @ B(x)`` of each
 input, not the basis, and ``_pp_spline`` gives it in de Boor's
 piecewise-polynomial form (BSPLPP/PPVALU) without building the basis. On
 a span the ``degree + 1`` nonzero weights are polynomials in the offset,
-``w = M @ [1, u, ..., u**degree]``; ``M`` comes once per degree from
-``_local_basis`` (``_power_matrix``). The evaluator runs in three steps:
+``w = M @ [1, u, ..., u**degree]``, ``M`` exact to one rounding
+(``_power_matrix``). The evaluator runs in three steps:
 
 1. *Table,* built by the caller with ``_pp_table`` and passed in, so
    that one table serves every batch run through the same coefficients:
@@ -52,8 +52,8 @@ a span the ``degree + 1`` nonzero weights are polynomials in the offset,
    ``i`` and span ``s``, a coefficient beyond the knot vector counting as
    zero, with all-zero rows for the spans -1 and ``len(knots) - 1``
    outside the knots.
-2. *Span and offset,* per block of ``_BLOCK_INPUTS`` inputs (whole rows,
-   at least one): ``x`` is bounded to ``[knots[0] - h/2, knots[-1]]``,
+2. *Span and offset,* per block of ``_row_blocks``, which the KAN
+   backward walks too: ``x`` is bounded to ``[knots[0] - h/2, knots[-1]]``,
    then ``z = (x - knots[0]) * (1/h)``, ``s = min(floor(z), spans - 1)``
    and ``u = z - s``. Below the knots ``floor(z)`` is -1; at or above the
    last knot one comparison moves ``s`` to the zero row past the last
@@ -72,18 +72,19 @@ Its result agrees with ``einsum(basis_values(grid, x), coeff)`` to about
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContractError, DomainError, _integer
+from .errors import ContractError, DomainError, _integer, _real
 
 
 _MAX_KNOTS = 4096  # far above any grid in use; bounds what a header can ask for
-# Inputs per block of both kernels. A dense block at the default grid
-# writes 512 KiB of float64, so that one block's result and temporaries
-# stay in a 2 MiB L2 cache between the passes.
+# Inputs per block of both kernels and of ``_row_blocks``. A dense block at
+# the default grid writes 512 KiB of float64, so that one block's result
+# and temporaries stay in a 2 MiB L2 cache between the passes.
 _BLOCK_INPUTS = 2**13
 
 
@@ -106,7 +107,7 @@ class SplineGrid:
     def __post_init__(self):
         degree = _integer("degree", self.degree)
         grid_size = _integer("grid_size", self.grid_size)
-        lo, hi = self.lo, self.hi
+        lo, hi = _real("lo", self.lo), _real("hi", self.hi)
         if degree < 0:
             raise ContractError(f"degree must be non-negative, got {degree}")
         if grid_size < 1:
@@ -127,8 +128,8 @@ class SplineGrid:
         # The dataclass is frozen, so the derived fields go in directly.
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "grid_size", grid_size)
-        object.__setattr__(self, "lo", float(lo))
-        object.__setattr__(self, "hi", float(hi))
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "knots", knots)
 
     @property
@@ -218,6 +219,14 @@ def _local_derivatives(u: np.ndarray, degree: int, h: float) -> np.ndarray:
     return d
 
 
+def _row_blocks(n: int, d_in: int) -> list[slice]:
+    """Consecutive slices of ``max(1, _BLOCK_INPUTS // d_in)`` whole rows
+    covering ``n`` rows of ``d_in`` inputs: the blocks of ``_pp_spline``
+    and of both KAN backward passes."""
+    step = max(1, _BLOCK_INPUTS // d_in)
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
 def _blocked(grid: SplineGrid, x, local) -> np.ndarray:
     """The dense result of ``local``'s weights at every input, block by block.
 
@@ -262,23 +271,15 @@ def _blocked(grid: SplineGrid, x, local) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _power_matrix(degree: int) -> np.ndarray:
-    """``M`` with ``_local_basis(u, degree) == M @ [1, u, ..., u**degree]``.
-
-    ``_local_basis`` is sampled at the ``degree + 1`` Chebyshev points of
-    ``[0, 1]``, turned into Newton divided differences and expanded into
-    powers of ``u``; on these points that stays within a few ulps, as a
-    pivoted solve of the Vandermonde system does.
-    """
-    u = 0.5 - 0.5 * np.cos(np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1))
-    c = _local_basis(u, degree)
-    for j in range(1, degree + 1):
-        c[:, j:] = (c[:, j:] - c[:, j - 1:-1]) / (u[j:] - u[:-j])
-    m = np.zeros((degree + 1, degree + 1))
-    for j in range(degree, -1, -1):
-        # m <- m * (u - u[j]) + c[:, j], one power of u per column.
-        m[:, 1:] = m[:, :-1] - u[j] * m[:, 1:]
-        m[:, 0] = c[:, j] - u[j] * m[:, 0]
+def _power_matrix(k: int) -> np.ndarray:
+    """``M`` with ``_local_basis(u, k) == M @ [1, u, ..., u**k]``, each entry
+    exact to one rounding: the uniform B-spline's closed form ``M[r, p] =
+    C(k, p) * sum_{j=0..k-r} (-1)**j C(k+1, j) (k-r-j)**(k-p) / k!`` is
+    summed in integers and divided once."""
+    m = np.array([[math.comb(k, p) * sum(
+        (-1) ** j * math.comb(k + 1, j) * (k - r - j) ** (k - p)
+        for j in range(k - r + 1)) / math.factorial(k)
+        for p in range(k + 1)] for r in range(k + 1)])
     m.flags.writeable = False
     return m
 
@@ -313,10 +314,8 @@ def _pp_spline(grid: SplineGrid, table: np.ndarray, x: np.ndarray) -> np.ndarray
     # Table index of span 0 of each input.
     first = np.arange(1, d_in * (spans + 2), spans + 2)
     out = np.empty((n, d_in))
-    rows = max(1, _BLOCK_INPUTS // d_in)
-    for start in range(0, n, rows):
-        xb = x[start:start + rows]
-        val = out[start:start + rows]
+    for rows in _row_blocks(n, d_in):
+        xb, val = x[rows], out[rows]
         # Below the knots z lies in [-1/2, 0), so its floor is -1.
         u = np.minimum(np.maximum(xb, t[0] - 0.5 * h), t[-1])
         u -= t[0]

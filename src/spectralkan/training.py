@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, _integer
+from .errors import ContractError, _integer, _real
 from .model import Model
 
 __all__ = [
@@ -50,7 +50,7 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ContractError("batch_size must be at least 1")
         for name in ("base_lr", "decay_factor", "decay_every"):
-            if not 0 < getattr(self, name) < np.inf:
+            if not 0 < _real(name, getattr(self, name)) < np.inf:
                 raise ContractError(f"{name} must be finite and positive")
 
 

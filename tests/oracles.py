@@ -5,6 +5,7 @@ recursion, explicit loops) so it shares no code path with the package.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -187,6 +188,26 @@ def scalar_bsplvb(grid, x: float, derivative: bool = False) -> np.ndarray:
         if 0 <= col < len(out):
             out[col] = value
     return np.array(out)
+
+
+def exact_power_matrix(k: int) -> list:
+    """``M[r][p]``, the exact coefficient of ``u**p`` in weight ``r`` of a
+    degree-``k`` span, as a ``Fraction``: the BSPLVB recursion of
+    ``scalar_bsplvb`` run on polynomials in ``u``, each a list of its
+    ``k + 1`` power coefficients."""
+    def linear(a, b, poly):
+        """``(a + b*u) * poly``; no product here exceeds degree ``k``."""
+        return [a * poly[p] + (b * poly[p - 1] if p else 0) for p in range(k + 1)]
+
+    w = [[Fraction(1)] + [Fraction(0)] * k]
+    for j in range(1, k + 1):
+        saved = [Fraction(0)] * (k + 1)
+        for r in range(j):
+            temp = [c / j for c in w[r]]
+            w[r] = [s + t for s, t in zip(saved, linear(r + 1, -1, temp))]
+            saved = linear(j - 1 - r, 1, temp)
+        w.append(saved)
+    return w
 
 
 def scalar_adam(params, grad_steps, lrs, b1=0.9, b2=0.999, eps=1e-8):

@@ -484,6 +484,8 @@ def corrupt_checkpoint(path, how, value=None):
         header["config"]["spatial_nodes"][1] = 16.0
     elif how == "bool-spatial-node":
         header["config"]["spatial_nodes"][2] = True
+    elif how == "bool-domain":
+        header["config"]["spline"]["domain"] = [-1, True]
     text = json.dumps(header).encode()
     path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + body)
 
@@ -520,6 +522,19 @@ class TestCorruptCheckpoint:
         ckpt = self.saved(tmp_path, variant)
         corrupt_checkpoint(ckpt, how)
         with pytest.raises(MalformedHeaderError, match="must be an integer"):
+            load_checkpoint(ckpt)
+        capsys.readouterr()
+        assert main(eval_args(dataset, ckpt, tmp_path / "ev")) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("variant", [Variant.MLP_SS, Variant.SPECTRAL_KAN])
+    def test_bool_domain_rejected(self, dataset, tmp_path, capsys, variant):
+        # [-1, true] equals the saved [-1.0, 1.0], so only the grid's check
+        # of its endpoints tells it from the saved model.
+        ckpt = self.saved(tmp_path, variant)
+        corrupt_checkpoint(ckpt, "bool-domain")
+        with pytest.raises(MalformedHeaderError, match="hi must be a real number"):
             load_checkpoint(ckpt)
         capsys.readouterr()
         assert main(eval_args(dataset, ckpt, tmp_path / "ev")) == 3

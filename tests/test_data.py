@@ -42,6 +42,11 @@ class TestCubeTypes:
         with pytest.raises(ContractError):
             LabelMap(np.full((3, 3), 7, dtype=np.uint8))
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), (0, 3), (3, 0)])
+    def test_label_map_must_be_2d_and_non_empty(self, shape):
+        with pytest.raises(ContractError, match="2-D with positive dims"):
+            LabelMap(np.zeros(shape, dtype=np.uint8))
+
 
 class TestDifference:
     def test_self_difference_is_zero(self):
@@ -335,6 +340,17 @@ class TestCubeFiles:
         assert header["order"] == "band-interleaved-by-pixel"
         assert (header["height"], header["width"], header["bands"]) == (2, 3, 4)
 
+    def test_payload_read_error_is_data_error(self, tmp_path, monkeypatch):
+        save_cube(random_cube(3, 3, 3), tmp_path / "c.json")
+
+        def fail(*args, **kwargs):
+            raise OSError("Input/output error")
+
+        # Only the payload reader opens a file through the module's ``open``.
+        monkeypatch.setattr(data, "open", fail, raising=False)
+        with pytest.raises(DataError, match="cannot read payload: Input/output error"):
+            load_cube(tmp_path / "c.json")
+
     def test_truncated_payload_detected(self, tmp_path):
         save_cube(random_cube(3, 3, 3), tmp_path / "c.json")
         raw = tmp_path / "c.raw"
@@ -557,6 +573,13 @@ class TestPgm:
         (tmp_path / "b.pgm").write_bytes(blob)
         with pytest.raises(DataError):
             load_pgm(tmp_path / "b.pgm")
+
+    @pytest.mark.parametrize("blob", [b"P5\n0 2\n255\n", b"P5\n2 0\n255\n"],
+                             ids=["zero-width", "zero-height"])
+    def test_zero_dimension_rejected(self, tmp_path, blob):
+        (tmp_path / "z.pgm").write_bytes(blob)
+        with pytest.raises(DimensionOverflowError, match="non-positive"):
+            load_pgm(tmp_path / "z.pgm")
 
     def test_truncated_pixels_detected(self, tmp_path):
         (tmp_path / "t.pgm").write_bytes(b"P5\n4 4\n255\n\x00\x01")

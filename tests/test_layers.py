@@ -101,9 +101,16 @@ class TestBackwardMemory:
                                                        ("shared", 25, 16, 5.0)])
     def test_peak_is_a_few_inputs(self, kind, d_in, d_out, bound):
         # The spatial layers of kan-ss and spectral-kan over 9,920 band
-        # rows. The basis (derivative) tensors take 2 MiB row blocks: full
-        # 6.9x and shared 3.66x of the inputs. Basis tensors spanning the
-        # batch read 18.0x and 12.0x.
+        # rows. Basis tensors spanning the batch read 18.0x and 12.0x of the
+        # inputs.
+        assert self.backward_peak(kind, d_in, d_out) <= bound
+
+    @pytest.mark.parametrize("kind,d_in,d_out,bound", [("full", 16, 1, 3.0),
+                                                       ("shared", 25, 16, 3.1)])
+    def test_peak_with_kernel_row_blocks(self, kind, d_in, d_out, bound):
+        # Each basis (derivative) tensor covers one row block of
+        # spline._BLOCK_INPUTS inputs, one kernel block: full 2.81x and
+        # shared 3.00x, against 6.90x and 3.66x with 2 MiB row blocks.
         assert self.backward_peak(kind, d_in, d_out) <= bound
 
     def test_shared_peak_with_one_pass_over_row_blocks(self):

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectralkan import (DenseLayer, FullKanLayer, Model, ModelConfig,
-                         PatchSet, SharedKanLayer, TrainConfig, Variant,
-                         build_model, gradient_check, load_checkpoint,
+                         PatchSet, SharedKanLayer, SplineGrid, TrainConfig,
+                         Variant, build_model, gradient_check, load_checkpoint,
                          save_checkpoint, softmax_cross_entropy, train)
-from spectralkan import layers
+from spectralkan import layers, spline
 from spectralkan.cli import predict_at
 from spectralkan.data import HsiCube
 from spectralkan.errors import (ContractError, DataError, DomainError,
@@ -390,13 +390,20 @@ KAN_VARIANTS = [Variant.KAN, Variant.KAN_ENC, Variant.KAN_SS,
 
 class TestBlockedBackward:
     """KAN backward builds its basis tensors in row blocks of at most
-    ``layers._BATCH_VALUES`` values. A 10-patch batch at p=3 has 40 band
-    rows of 9 inputs (72 basis values a row) and 40 or 10 rows of 4 inputs
-    (32 a row; the flat first layer has 288). A budget of 64 values gives
-    blocks of one and two rows; 216 cuts the 40 rows into 13 blocks of 3
-    and one of 1 row, and 288 cuts the 10 rows into 9 and 1."""
+    ``spline._BLOCK_INPUTS`` inputs (one row at least). Each budget counts
+    the basis values of a block, ``BASIS_COUNT`` per input. A 10-patch
+    batch at p=3 has 40 band rows of 9 inputs (72 basis values a row) and
+    40 or 10 rows of 4 inputs (32 a row; the flat first layer has 288). A
+    budget of 64 values (8 inputs) gives blocks of one and two rows; 216
+    (27 inputs) cuts the 40 rows into 13 blocks of 3 and one of 1 row, and
+    288 (36 inputs) cuts the 10 rows into 9 and 1."""
 
+    BASIS_COUNT = SplineGrid().basis_count
     BUDGETS = [64, 216, 288]
+
+    @classmethod
+    def block_inputs(cls, monkeypatch, budget):
+        monkeypatch.setattr(spline, "_BLOCK_INPUTS", budget // cls.BASIS_COUNT)
 
     @staticmethod
     def step(variant):
@@ -424,7 +431,7 @@ class TestBlockedBackward:
         # Every layer, the first too, builds its input gradient here.
         steps = self.upstream(*self.step(variant))
         want = [layer.backward(cache, g) for layer, cache, g in steps]
-        monkeypatch.setattr(layers, "_BATCH_VALUES", budget)
+        self.block_inputs(monkeypatch, budget)
         rows = []
         original = layers.basis_derivatives
 
@@ -449,14 +456,14 @@ class TestBlockedBackward:
 
     @pytest.mark.parametrize("variant", KAN_VARIANTS)
     def test_gradient_check_holds_across_blocks(self, variant, monkeypatch):
-        monkeypatch.setattr(layers, "_BATCH_VALUES", 216)
+        self.block_inputs(monkeypatch, 216)
         model = build_model(tiny_config(variant), seed=6)
         patches = np.random.default_rng(6).uniform(-0.9, 0.9, (10, 3, 3, 4))
         assert gradient_check(model, patches, np.arange(10) % 2) <= 1e-5
 
     @pytest.mark.parametrize("variant", KAN_VARIANTS)
     def test_empty_batch_gives_zero_parameter_grads(self, variant, monkeypatch):
-        monkeypatch.setattr(layers, "_BATCH_VALUES", 216)
+        self.block_inputs(monkeypatch, 216)
         model = build_model(tiny_config(variant), seed=0)
         logits, caches = model.forward(np.zeros((0, 3, 3, 4)))
         grads = model.backward(caches, logits)

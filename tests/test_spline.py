@@ -10,7 +10,8 @@ from spectralkan import ModelConfig, SplineGrid, basis_derivatives, basis_values
 from spectralkan import spline
 from spectralkan.errors import ContractError, DomainError
 
-from oracles import naive_basis, naive_basis_vector, scalar_bsplvb
+from oracles import (exact_power_matrix, naive_basis, naive_basis_vector,
+                     scalar_bsplvb)
 
 DEGREES = range(6)
 GRID_SIZES = range(1, 9)
@@ -52,6 +53,18 @@ class TestGridConstruction:
     def test_rejects_non_integer_counts(self, name, value):
         with pytest.raises(ContractError, match=name):
             SplineGrid(**{name: value})
+
+    @pytest.mark.parametrize("name", ["lo", "hi"])
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "1", None, 1j],
+                             ids=repr)
+    def test_rejects_non_real_endpoints(self, name, value):
+        with pytest.raises(ContractError, match=name):
+            SplineGrid(**{name: value})
+
+    def test_real_endpoints_are_stored_as_float(self):
+        g = SplineGrid(lo=np.int64(-1), hi=np.float32(1.0))
+        assert type(g.lo) is float and type(g.hi) is float
+        assert g == SplineGrid() and hash(g) == hash(SplineGrid())
 
     def test_numpy_integer_counts_are_stored_as_int(self):
         g = SplineGrid(np.int64(3), np.int32(5))
@@ -392,6 +405,14 @@ class TestPiecewisePolynomial:
         powers = np.vander(u, degree + 1, increasing=True).T
         expected = spline._local_basis(u, degree)
         assert np.abs(spline._power_matrix(degree) @ powers - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize("degree", range(7))
+    def test_power_matrix_is_exact_to_rounding(self, degree):
+        # Each entry is the exact value rounded once: where it is 0 it is
+        # 0.0, not a few ulps from a fit.
+        want = np.array([[float(c) for c in row]
+                         for row in exact_power_matrix(degree)])
+        assert spline._power_matrix(degree).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("degree,grid_size,lo,hi", [
         (3, 5, -1.0, 1.0), (2, 7, 0.0, 1.0), (0, 4, -3.0, 0.7),

@@ -89,6 +89,13 @@ class TestTrainConfig:
         with pytest.raises(ContractError, match=name):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["base_lr", "decay_factor"])
+    @pytest.mark.parametrize("value", [True, np.bool_(True), "0.5", None],
+                             ids=repr)
+    def test_rates_must_be_real(self, name, value):
+        with pytest.raises(ContractError, match=f"{name} must be a real number"):
+            TrainConfig(**{name: value})
+
     def test_numpy_integer_counts_are_stored_as_int(self):
         config = TrainConfig(epochs=np.int64(3), batch_size=np.int32(8),
                              decay_every=np.uint8(2))
