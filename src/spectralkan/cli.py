@@ -38,9 +38,11 @@ CHECK_FAILED = 4
 _TRAIN_FRACTION = 0.01
 
 # glibc's malloc(3) parameters, fixed when ``main`` starts. By default the
-# mmap and trim thresholds follow the largest block freed so far, so
-# whether each prediction batch page-faults its memory afresh would hang
-# on which arrays happened to be freed before it.
+# mmap and trim thresholds follow the largest block freed so far, and a
+# training step's large arrays go back to the system when freed, to be
+# page-faulted in afresh by the next step: about 10**5 minor faults in one
+# criterion-6 ``train`` against a few dozen with the thresholds fixed.
+# Prediction batches ran as fast without them.
 _MALLOC_THRESHOLDS = ((-3, 32 << 20),  # M_MMAP_THRESHOLD
                       (-1, 64 << 20))  # M_TRIM_THRESHOLD
 try:

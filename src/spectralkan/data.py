@@ -37,7 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ContractError, DataError, DimensionOverflowError,
-                     DomainError, MalformedHeaderError, TruncatedPayloadError)
+                     DomainError, MalformedHeaderError, TruncatedPayloadError,
+                     _MAX_ARRAY_BYTES)
 
 UNKNOWN = 255
 _MAX_ELEMENTS = 1 << 40  # reject absurd header dimensions before allocating
@@ -193,11 +194,15 @@ def extract_patches(cube: HsiCube, coords: np.ndarray, p: int) -> np.ndarray:
 
     Offsets past an edge are mirrored back into the raster with the edge
     row/column duplicated; a window larger than the raster repeats the
-    reflection with period ``2h`` down the rows and ``2w`` across.
+    reflection with period ``2h`` down the rows and ``2w`` across. A
+    result larger than any array holds is a ``ContractError``.
     """
     if p < 1 or p % 2 == 0:
         raise ContractError(f"patch size must be odd and positive, got {p}")
     coords = _pixel_coords(coords)
+    if len(coords) * p * p * cube.bands * cube.values.itemsize > _MAX_ARRAY_BYTES:
+        raise ContractError(f"{len(coords)} patches of {p}x{p}x{cube.bands} "
+                            f"are larger than any array holds")
     size = np.array([cube.height, cube.width])
     outside = np.any((coords < 0) | (coords >= size), axis=1)
     if outside.any():
@@ -283,10 +288,13 @@ def synth_dataset(h: int, w: int, b: int, change_fraction: float = 0.3,
     The base image mixes two smooth spectral signatures through a smooth
     spatial field. Changed pixels receive an additional distinct
     signature in the second epoch. Both epochs carry independent Gaussian
-    noise of the given sigma. Deterministic per seed.
+    noise of the given sigma. Deterministic per seed. A cube larger than
+    any float64 array holds is a ``ContractError``.
     """
     if h < 1 or w < 1 or b < 1:
         raise ContractError("synthetic dimensions must be positive")
+    if h * w * b * 8 > _MAX_ARRAY_BYTES:
+        raise ContractError(f"a {h}x{w}x{b} cube is larger than any array holds")
     if not (0.0 <= change_fraction <= 1.0):
         raise ContractError("change_fraction must lie in [0, 1]")
     rng = np.random.default_rng(seed)

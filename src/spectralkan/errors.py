@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the integer and real checks.
+"""Exception types shared across the package, the integer and real checks,
+and the largest array size.
 
 The CLI maps these onto distinct exit codes: contract/config problems,
 data/file problems, and failed numerical checks are kept separate.
@@ -37,6 +38,10 @@ class DimensionOverflowError(DataError):
     """Declared raster dimensions are non-positive or implausibly large."""
 
 
+# The most bytes numpy lets one array hold.
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
+
+
 def _integer(name: str, value) -> int:
     """``value`` as an ``int``: a bool or a float such as 5.0 is rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -45,7 +50,11 @@ def _integer(name: str, value) -> int:
 
 
 def _real(name: str, value) -> float:
-    """``value`` as a ``float``: a bool or a non-real value is rejected."""
+    """``value`` as a ``float``: a bool, a non-real value or an integer too
+    large for a float is rejected."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ContractError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ContractError(f"{name} is too large for a float") from None

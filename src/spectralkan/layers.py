@@ -71,16 +71,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, _MAX_ARRAY_BYTES
 from .spline import (SplineGrid, _pp_spline, _pp_table, _row_blocks,
                      basis_derivatives, basis_values)
 
 # Contraction columns per chunk of ``_row_invariant_matmul``. A constant, so
 # that a row's sum does not depend on its batch.
 _CHUNK_COLUMNS = 4096
-
-# The most bytes numpy lets one array hold.
-_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -7,32 +7,39 @@ basis functions produced here. The knot vector is uniform over
 basis functions. Inputs outside the domain are evaluated as-is, with no
 clamping or grid adaptation.
 
-Evaluation is local, as in de Boor's BSPLVB: each input ``x`` lies in one
-knot span ``s`` with ``knots[s] <= x < knots[s+1]``, and only the
-``degree + 1`` basis functions ``s - degree .. s`` are nonzero there.
-Inputs outside ``[knots[0], knots[-1])`` lie in no span, and every basis
-function is exactly zero there. The kernel walks the flattened input in
-blocks of ``_BLOCK_INPUTS`` (8,192) inputs, the block size of both
-kernels here, and makes three kinds of pass over each block, each an
-array operation written in place where it can be. The result values a
-block writes dominate its memory; at the default grid they take 512 KiB,
-so that a block's result rows and temporaries stay in cache from one pass
-to the next. Every input goes through the same operations in the same
-order whatever the block size, so blocking changes no bit of the result:
+Evaluation is local, in de Boor's piecewise-polynomial form (BSPLPP):
+each input ``x`` lies in one knot span ``s`` with
+``knots[s] <= x < knots[s+1]``, and only the ``degree + 1`` basis
+functions ``s - degree .. s`` are nonzero there. On every span their
+values are the same polynomials in the offset ``u = (x - knots[s]) / h``,
+``w = M @ [1, u, ..., u**degree]``, ``w[r]`` that of function
+``s - degree + r``, with ``M`` exact to one rounding per entry
+(``_power_matrix``). ``M`` is the one statement of these weights: the dense
+kernel evaluates it, and the pp-form tabulates it against the
+coefficients. Inputs outside ``[knots[0], knots[-1])`` lie in no span, and
+every basis function is exactly zero there.
+
+The dense kernel walks the flattened input in blocks of ``_BLOCK_INPUTS``
+(8,192) inputs, the block size of both kernels here, and makes three
+kinds of pass over each block, each an array operation written in place
+where it can be. The result values a block writes dominate its memory; at
+the default grid they take 512 KiB, so that a block's result rows and
+temporaries stay in cache from one pass to the next. Every input goes
+through the same operations in the same order whatever the block size, so
+blocking changes no bit of the result:
 
 1. *Span and offset.* ``x`` is bounded to the knot range, the span is
    estimated from the spacing and corrected by one comparison with the
    knot on each side, and the offset is ``u = min((x - knots[s]) / h, 1)``.
-2. *Weights.* The recursion runs on ``u`` with weights ``w`` starting at
-   ``[1.0]``; for ``j = 1 .. degree`` and ``r = 0 .. j-1`` it computes
-   ``temp = w[r] / j``, ``w[r] = saved + (r + 1 - u) * temp`` and
-   ``saved = (u + (j - 1 - r)) * temp``, with ``saved = 0.0`` at the
-   start of each ``j`` and ``w[j] = saved`` at its end. The code starts
-   from the ``j = 1`` result ``[1 - u, u + 0]`` and skips adding the
-   ``0.0``, which changes no bit, since every term is non-negative and
-   ``u + 0`` turns an offset of ``-0.0`` into ``+0.0``. A derivative is
-   ``(v[r-1] - v[r]) / h`` over the degree-``(k-1)`` weights ``v``, a
-   missing one counting as ``0.0``.
+2. *Weights,* by Horner's rule on the rows of a coefficient matrix ``c``
+   (``_horner``): ``w = c[:, -1]``, then ``w = w * u + c[:, p]`` for each
+   lower power ``p``, highest first. For values ``c`` is ``M`` and the
+   result is clamped with ``max(w, 0.0)``, since rounding leaves a weight
+   near a span's end up to a few ulps below zero. For derivatives the
+   coefficient of ``u**(p-1)`` is ``M[r, p] * (p / h)``, ``p = 1 ..
+   degree``, with no clamp; at degree 0 the derivative is the zero
+   polynomial, one ``0.0`` coefficient. The pp-form's step 3 is the same
+   rule on its table.
 3. *Scatter.* The block's rows of the result are zeroed, and weight
    ``r`` goes to column ``s - degree + r``. One test of the column,
    viewed as unsigned, against ``basis_count`` finds every column outside
@@ -40,11 +47,8 @@ order whatever the block size, so blocking changes no bit of the result:
    spare slot past the result.
 
 The shared KAN layer needs only the spline ``coeff[i] @ B(x)`` of each
-input, not the basis, and ``_pp_spline`` gives it in de Boor's
-piecewise-polynomial form (BSPLPP/PPVALU) without building the basis. On
-a span the ``degree + 1`` nonzero weights are polynomials in the offset,
-``w = M @ [1, u, ..., u**degree]``, ``M`` exact to one rounding
-(``_power_matrix``). The evaluator runs in three steps:
+input, not the basis, and ``_pp_spline`` gives it without building the
+basis (de Boor's PPVALU). It runs in three steps:
 
 1. *Table,* built by the caller with ``_pp_table`` and passed in, so
    that one table serves every batch run through the same coefficients:
@@ -171,52 +175,16 @@ def _span_offset(grid: SplineGrid, x: np.ndarray):
     return span, u
 
 
-def _local_basis(u: np.ndarray, degree: int) -> np.ndarray:
-    """The ``degree + 1`` basis functions that are nonzero on a span.
-
-    ``w[r]`` is the value of function ``s - degree + r`` at offset ``u``
-    into span ``s``; on uniform knots every denominator of the recursion
-    is ``j`` spacings. Each step writes its weight in place, and the
-    recursion starts from its degree-1 result ``[1 - u, u + 0]``.
-    """
-    w = np.empty((degree + 1,) + u.shape)
-    if degree == 0:
-        w[0] = 1.0
-        return w
-    np.subtract(1.0, u, out=w[0])
-    np.add(u, 0.0, out=w[1])  # -0.0 becomes +0.0, as in the step it replaces
-    temp, saved = np.empty_like(u), np.empty_like(u)
-    for j in range(2, degree + 1):
-        for r in range(j):
-            np.divide(w[r], j, out=temp)
-            np.subtract(r + 1, u, out=w[r])
-            w[r] *= temp
-            if r:
-                w[r] += saved
-            # The last step's ``saved`` is the new weight w[j].
-            out = w[j] if r == j - 1 else saved
-            np.add(u, j - 1 - r, out=out)
-            out *= temp
+def _horner(c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``w[r] = c[r] @ [1, u, u**2, ...]`` at every offset of the 1-D ``u``,
+    by Horner's rule: ``w = c[:, -1]``, then ``w = w * u + c[:, p]`` for
+    each lower power ``p``, highest first, each step written in place."""
+    w = np.empty((len(c), u.size))
+    w[...] = c[:, -1, None]
+    for p in range(c.shape[1] - 2, -1, -1):
+        w *= u
+        w += c[:, p, None]
     return w
-
-
-def _local_derivatives(u: np.ndarray, degree: int, h: float) -> np.ndarray:
-    """First derivatives of the ``degree + 1`` functions nonzero on a span.
-
-    ``d[r] = (v[r-1] - v[r]) / h`` over the degree-``(degree-1)`` weights
-    ``v``, a missing one counting as ``0.0``; at degree 0 every
-    derivative is zero.
-    """
-    d = np.empty((degree + 1,) + u.shape)
-    if degree == 0:
-        d[0] = 0.0
-        return d
-    lower = _local_basis(u, degree - 1)
-    np.subtract(0.0, lower[0], out=d[0])
-    np.subtract(lower[:-1], lower[1:], out=d[1:-1])
-    d[degree] = lower[degree - 1]
-    d /= h
-    return d
 
 
 def _row_blocks(n: int, d_in: int) -> list[slice]:
@@ -227,10 +195,10 @@ def _row_blocks(n: int, d_in: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
-def _blocked(grid: SplineGrid, x, local) -> np.ndarray:
-    """The dense result of ``local``'s weights at every input, block by block.
+def _blocked(grid: SplineGrid, x, derivative: bool) -> np.ndarray:
+    """All basis values, or their first derivatives, at every input, block
+    by block (steps in the module docstring).
 
-    ``local(u)`` gives the ``degree + 1`` weights at the offsets ``u``.
     Each block checks its inputs, finds their spans and weights, zeroes
     its rows of the result and writes ``w[r]`` into column
     ``span - degree + r``. Columns outside ``0 .. basis_count - 1``
@@ -238,6 +206,13 @@ def _blocked(grid: SplineGrid, x, local) -> np.ndarray:
     every span; their writes go to one spare slot past the end of the
     buffer, which the result excludes.
     """
+    k = grid.degree
+    c = _power_matrix(k)
+    if derivative:
+        # d/dx of u**p is p * u**(p-1) / h; at degree 0, one 0.0 coefficient.
+        d = np.zeros((k + 1, max(k, 1)))
+        d[:, :k] = c[:, 1:] * (np.arange(1, k + 1) / grid.spacing)
+        c = d
     x = np.asarray(x, dtype=np.float64)
     xs = x.reshape(-1)
     nb = grid.basis_count
@@ -250,17 +225,21 @@ def _blocked(grid: SplineGrid, x, local) -> np.ndarray:
         if not np.all(np.isfinite(xb)):
             raise DomainError("spline evaluation requires finite inputs")
         span, u = _span_offset(grid, xb)
-        w = local(u)
+        w = _horner(c, u)
+        if not derivative:
+            # Rounding leaves a weight near a span's end up to a few ulps
+            # below zero; a basis value never is.
+            np.maximum(w, 0.0, out=w)
         stop = start + xb.size
         flat[start * nb:stop * nb] = 0.0
-        col = span - grid.degree
+        col = span - k
         # ``base + spare`` is the flat index of each input's column ``col``,
         # so zeroing ``base`` where the column is outside points to the spare.
         base = np.arange((start - n) * nb, (stop - n) * nb, nb)
         base += col
         idx = np.empty_like(base)
         inside = np.empty(xb.size, dtype=bool)
-        for r in range(grid.degree + 1):
+        for r in range(k + 1):
             np.less(col.view(np.uintp), nb, out=inside)
             np.multiply(base, inside, out=idx)
             idx += spare
@@ -272,10 +251,12 @@ def _blocked(grid: SplineGrid, x, local) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _power_matrix(k: int) -> np.ndarray:
-    """``M`` with ``_local_basis(u, k) == M @ [1, u, ..., u**k]``, each entry
-    exact to one rounding: the uniform B-spline's closed form ``M[r, p] =
-    C(k, p) * sum_{j=0..k-r} (-1)**j C(k+1, j) (k-r-j)**(k-p) / k!`` is
-    summed in integers and divided once."""
+    """``M`` with ``w = M @ [1, u, ..., u**k]`` the ``k + 1`` nonzero basis
+    values at offset ``u`` into span ``s``, ``w[r]`` that of function
+    ``s - k + r``. Each entry is exact to one rounding: the uniform
+    B-spline's closed form ``M[r, p] = C(k, p) * sum_{j=0..k-r} (-1)**j
+    C(k+1, j) (k-r-j)**(k-p) / k!`` is summed in integers and divided
+    once."""
     m = np.array([[math.comb(k, p) * sum(
         (-1) ** j * math.comb(k + 1, j) * (k - r - j) ** (k - p)
         for j in range(k - r + 1)) / math.factorial(k)
@@ -345,15 +326,14 @@ def basis_values(grid: SplineGrid, x) -> np.ndarray:
     ``x.shape + (grid.basis_count,)``. Values are non-negative, and inside
     the domain they sum to one.
     """
-    return _blocked(grid, x, lambda u: _local_basis(u, grid.degree))
+    return _blocked(grid, x, False)
 
 
 def basis_derivatives(grid: SplineGrid, x) -> np.ndarray:
     """First derivative of each basis function at ``x``.
 
-    Uses the degree-reduction identity: on uniform knots with spacing
-    ``h``, the derivative of degree-k function ``i`` is the difference of
-    degree-(k-1) functions ``i`` and ``i + 1``, divided by ``h``.
+    On a span with offset ``u = (x - knots[s]) / h`` each nonzero function
+    is a polynomial in ``u``, so its derivative is that polynomial's
+    derivative divided by the spacing ``h``.
     """
-    return _blocked(grid, x,
-                    lambda u: _local_derivatives(u, grid.degree, grid.spacing))
+    return _blocked(grid, x, True)

@@ -49,7 +49,9 @@ class TrainConfig:
             raise ContractError("epochs must be non-negative")
         if self.batch_size < 1:
             raise ContractError("batch_size must be at least 1")
-        for name in ("base_lr", "decay_factor", "decay_every"):
+        if self.decay_every < 1:
+            raise ContractError("decay_every must be at least 1")
+        for name in ("base_lr", "decay_factor"):
             if not 0 < _real(name, getattr(self, name)) < np.inf:
                 raise ContractError(f"{name} must be finite and positive")
 

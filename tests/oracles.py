@@ -149,27 +149,35 @@ def backward_every_input_grad(model, caches, grad_logits):
     return grads
 
 
+def _scalar_span(grid, x: float):
+    """The span ``s`` with ``knots[s] <= x < knots[s+1]``, by a linear search
+    over the knots, and the offset ``min((x - knots[s]) / h, 1.0)``; both
+    ``None`` outside the knots."""
+    knots = [float(t) for t in grid.knots]
+    span = next((s for s in range(len(knots) - 1)
+                 if knots[s] <= x < knots[s + 1]), None)
+    if span is None:
+        return None, None
+    h = (grid.hi - grid.lo) / grid.grid_size
+    return span, min((x - knots[span]) / h, 1.0)
+
+
 def scalar_bsplvb(grid, x: float, derivative: bool = False) -> np.ndarray:
     """All basis values (or first derivatives) at one float ``x``, by de
     Boor's span search and BSPLVB recursion in plain Python floats.
 
-    Each operation follows the order that the ``spectralkan.spline``
-    docstring states, so the result is expected to match the package's
-    bit for bit, signed zeros included. The span is found by a linear
-    search over the knots, not from the spacing.
+    It shares no arithmetic with the package's power form, so the two agree
+    to rounding only. The span comes from ``_scalar_span``'s linear search
+    over the knots, not from the spacing.
     """
-    x = float(x)
-    knots = [float(t) for t in grid.knots]
     k = grid.degree
     h = (grid.hi - grid.lo) / grid.grid_size
     out = [0.0] * (grid.grid_size + k)
     if derivative and k == 0:
         return np.array(out)
-    span = next((s for s in range(len(knots) - 1)
-                 if knots[s] <= x < knots[s + 1]), None)
+    span, u = _scalar_span(grid, float(x))
     if span is None:
         return np.array(out)
-    u = min((x - knots[span]) / h, 1.0)
     w = [1.0]
     for j in range(1, k if derivative else k + 1):
         saved = 0.0
@@ -208,6 +216,38 @@ def exact_power_matrix(k: int) -> list:
             saved = linear(j - 1 - r, 1, temp)
         w.append(saved)
     return w
+
+
+def scalar_power_form(grid, x: float, derivative: bool = False) -> np.ndarray:
+    """All basis values (or first derivatives) at one float ``x``, from the
+    power form of each weight in plain Python floats.
+
+    The span and offset are ``_scalar_span``'s, as in ``scalar_bsplvb``.
+    Weight ``r`` is the polynomial with coefficients ``M[r]``,
+    ``exact_power_matrix(k)`` rounded once per entry, evaluated by Horner's
+    rule from the highest power down and clamped with ``max(w, 0.0)``. A derivative has
+    coefficients ``M[r][p] * (p / h)`` for ``p = 1 .. k``, one ``0.0`` at
+    degree 0, and no clamp. Each operation follows the order that the
+    ``spectralkan.spline`` docstring states, so the result is expected to
+    match the package's bit for bit, signed zeros included.
+    """
+    k = grid.degree
+    h = (grid.hi - grid.lo) / grid.grid_size
+    out = [0.0] * (grid.grid_size + k)
+    span, u = _scalar_span(grid, float(x))
+    if span is None:
+        return np.array(out)
+    m = [[float(c) for c in row] for row in exact_power_matrix(k)]
+    if derivative:
+        m = [[row[p] * (p / h) for p in range(1, k + 1)] or [0.0] for row in m]
+    for r, coeffs in enumerate(m):
+        w = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            w = w * u + c
+        col = span - k + r
+        if 0 <= col < len(out):
+            out[col] = w if derivative else max(w, 0.0)
+    return np.array(out)
 
 
 def scalar_adam(params, grad_steps, lrs, b1=0.9, b2=0.999, eps=1e-8):

@@ -822,6 +822,32 @@ def test_python_dash_m_runs_the_cli_from_the_source_tree():
     assert json.loads(done.stdout)["variant"] == "mlp"
 
 
+class TestHugeIntegers:
+    """Integer flags past any float or any array end in a config error or
+    run as asked, never in a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--height", str(10**30), "--out-dir", "{tmp}/out"],
+        ["train", "--patch-size", str(10**20 + 1)],
+    ], ids=["synth-height", "train-patch-size"])
+    def test_shape_no_array_can_hold_exits_2(self, dataset, tmp_path, capsys, argv):
+        if argv[0] == "train":
+            argv = train_args(dataset, tmp_path / "run", FAST_TRAIN + argv[1:])
+        else:
+            argv = [a.format(tmp=tmp_path) for a in argv]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "larger than any array holds" in err
+
+    def test_decay_every_past_any_float_trains_without_decay(self, dataset, tmp_path):
+        run = tmp_path / "run"
+        assert main(train_args(dataset, run, FAST_TRAIN
+                               + ["--decay-every", str(10**400)])) == 0
+        assert (run / "model.ckpt").exists()
+
+
 class TestOutOfMemory:
     @pytest.mark.parametrize("command", ["train"])
     def test_exits_2_with_one_error_line(self, dataset, tmp_path, monkeypatch,

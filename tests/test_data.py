@@ -154,6 +154,11 @@ class TestPatches:
         with pytest.raises(ContractError):
             extract_patches(cube, [(4, 0)], 3)
 
+    def test_rejects_patches_no_array_can_hold(self):
+        cube = random_cube(4, 4, 2, seed=5)
+        with pytest.raises(ContractError, match="larger than any array holds"):
+            extract_patches(cube, [(1, 1)], 10**20 + 1)
+
     @pytest.mark.parametrize("center,p", [
         ((-1, 0), 1), ((4, 0), 1), ((-1, 0), 3), ((0, 4), 3), ((2, -1), 5),
     ])
@@ -312,6 +317,10 @@ class TestSynth:
     def test_rejects_non_positive_size(self, h, w, b):
         with pytest.raises(ContractError, match="must be positive"):
             synth_dataset(h, w, b)
+
+    def test_rejects_size_no_array_can_hold(self):
+        with pytest.raises(ContractError, match="larger than any array holds"):
+            synth_dataset(10**30, 4, 2)
 
     @pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
     def test_rejects_change_fraction_outside_unit_interval(self, fraction):

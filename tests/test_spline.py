@@ -11,7 +11,7 @@ from spectralkan import spline
 from spectralkan.errors import ContractError, DomainError
 
 from oracles import (exact_power_matrix, naive_basis, naive_basis_vector,
-                     scalar_bsplvb)
+                     scalar_bsplvb, scalar_power_form)
 
 DEGREES = range(6)
 GRID_SIZES = range(1, 9)
@@ -60,6 +60,11 @@ class TestGridConstruction:
     def test_rejects_non_real_endpoints(self, name, value):
         with pytest.raises(ContractError, match=name):
             SplineGrid(**{name: value})
+
+    @pytest.mark.parametrize("name", ["lo", "hi"])
+    def test_rejects_integer_endpoint_too_large_for_a_float(self, name):
+        with pytest.raises(ContractError, match=name):
+            SplineGrid(**{name: (-1 if name == "lo" else 1) * 10**400})
 
     def test_real_endpoints_are_stored_as_float(self):
         g = SplineGrid(lo=np.int64(-1), hi=np.float32(1.0))
@@ -305,7 +310,8 @@ def _bit_points(grid):
 
 
 class TestScalarBsplvbOracle:
-    """The kernel against de Boor's recursion in Python floats, bit for bit."""
+    """The kernel against its power form in Python floats, bit for bit, and
+    within a few rounding errors of de Boor's recursion."""
 
     @staticmethod
     def assert_bits_equal(got, expected):
@@ -319,8 +325,12 @@ class TestScalarBsplvbOracle:
         g = SplineGrid(degree, grid_size, lo, hi)
         xs = _bit_points(g)
         for derivative, fn in ((False, basis_values), (True, basis_derivatives)):
-            expected = np.array([scalar_bsplvb(g, x, derivative) for x in xs])
-            self.assert_bits_equal(fn(g, xs), expected)
+            got = fn(g, xs)
+            expected = np.array([scalar_power_form(g, x, derivative) for x in xs])
+            self.assert_bits_equal(got, expected)
+            recursion = np.array([scalar_bsplvb(g, x, derivative) for x in xs])
+            bound = 7.5e-16 / g.spacing if derivative else 4.5e-16
+            assert np.abs(got - recursion).max() <= bound
 
 
 class TestBlockBoundaries:
@@ -403,7 +413,11 @@ class TestPiecewisePolynomial:
     def test_power_matrix_reproduces_local_basis(self, degree):
         u = np.random.default_rng(degree).uniform(0.0, 1.0, 500)
         powers = np.vander(u, degree + 1, increasing=True).T
-        expected = spline._local_basis(u, degree)
+        # On span ``degree``, the first inside the domain, columns
+        # ``0 .. degree`` of the basis are the local weights.
+        g = SplineGrid(degree, 4, -1.0, 1.0)
+        x = g.knots[degree] + u * g.spacing
+        expected = np.array([scalar_bsplvb(g, v)[:degree + 1] for v in x]).T
         assert np.abs(spline._power_matrix(degree) @ powers - expected).max() <= 1e-14
 
     @pytest.mark.parametrize("degree", range(7))

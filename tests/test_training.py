@@ -109,6 +109,16 @@ class TestTrainConfig:
         with pytest.raises(ContractError, match=field):
             TrainConfig(**{field: value})
 
+    def test_rate_too_large_for_a_float_rejected(self):
+        with pytest.raises(ContractError, match="base_lr"):
+            TrainConfig(base_lr=10**400)
+
+    def test_decay_every_is_checked_as_an_integer(self):
+        config = TrainConfig(decay_every=10**400)
+        assert lr_at(config, 10**6) == config.base_lr
+        with pytest.raises(ContractError, match="decay_every must be at least 1"):
+            TrainConfig(decay_every=0)
+
     def test_negative_epochs_rejected(self):
         with pytest.raises(ContractError, match="epochs must be non-negative"):
             TrainConfig(epochs=-1)
